@@ -79,9 +79,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
 
 def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -128,10 +125,6 @@ class Tape:
         loss.grad = np.ones_like(loss.data)
         for fn in reversed(self._nodes):
             fn()
-
-
-def active_tape():
-    return _ACTIVE_TAPE
 
 
 def _record(out: Tensor, fn):
@@ -351,21 +344,6 @@ def concat(tensors, axis: int = 1) -> Tensor:
             idx = [slice(None)] * out.data.ndim
             idx[axis] = slice(int(lo), int(hi))
             _accum(t, out.grad[tuple(idx)])
-
-    _record(out, bw)
-    return out
-
-
-def getitem(a, idx) -> Tensor:
-    a = as_tensor(a)
-    out = Tensor(a.data[idx].copy(), a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        g = np.zeros_like(a.data)
-        g[idx] += out.grad
-        _accum(a, g)
 
     _record(out, bw)
     return out

@@ -18,10 +18,9 @@ Byte layout, little-endian throughout:
 
     trailer: 4         CRC32 (u32) over every preceding byte
 
-Entries carry parameters, BN running statistics (``<layer>.running_mean``,
-``.running_var``, ``.num_batches``) and, when given, optimizer moments under
-an ``optim.`` prefix. Loading verifies magic, version, CRC and entry shapes
-against the declared architecture.
+Entries carry parameters and BN running statistics (``<layer>.running_mean``,
+``.running_var``, ``.num_batches``). Loading verifies magic, version, CRC and
+entry shapes against the declared architecture.
 """
 
 from __future__ import annotations
@@ -53,8 +52,7 @@ def _collect_arrays(model: SegModel) -> dict[str, np.ndarray]:
     return arrays
 
 
-def save_checkpoint(path, model: SegModel, epoch: int = 0, seeds: dict | None = None,
-                    optim_arrays: dict[str, np.ndarray] | None = None) -> None:
+def save_checkpoint(path, model: SegModel, epoch: int = 0, seeds: dict | None = None) -> None:
     header = {
         "arch": {
             "in_channels": model.arch.in_channels,
@@ -73,9 +71,6 @@ def save_checkpoint(path, model: SegModel, epoch: int = 0, seeds: dict | None = 
         "seeds": seeds or {},
     }
     arrays = _collect_arrays(model)
-    if optim_arrays:
-        for k, v in optim_arrays.items():
-            arrays[f"optim.{k}"] = v
 
     buf = io.BytesIO()
     buf.write(MAGIC)
@@ -149,8 +144,8 @@ def read_entries(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
-def load_checkpoint(path) -> tuple[SegModel, dict, dict[str, np.ndarray] | None]:
-    """Rebuild a SegModel; returns (model, header, optimizer arrays or None)."""
+def load_checkpoint(path) -> tuple[SegModel, dict]:
+    """Rebuild a SegModel; returns (model, header)."""
     header, arrays = read_entries(path)
     try:
         arch = ArchConfig(**header["arch"])
@@ -183,6 +178,4 @@ def load_checkpoint(path) -> tuple[SegModel, dict, dict[str, np.ndarray] | None]
         bn.running_mean = rm.astype(np.float32)
         bn.running_var = rv.astype(np.float32)
         bn.num_batches = int(arrays[f"{name}.num_batches"][0])
-
-    optim = {k[len("optim.") :]: v for k, v in arrays.items() if k.startswith("optim.")}
-    return model, header, (optim or None)
+    return model, header

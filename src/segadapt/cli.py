@@ -182,18 +182,16 @@ def cmd_adapt(args) -> int:
         est.fit(train, val)
         model_header_epoch = est.best_epoch_
     else:
-        model, _, _ = load_checkpoint(args.checkpoint)
+        model, _ = load_checkpoint(args.checkpoint)
         if model.num_heads != 1:
             raise CheckpointError("adaptation expects a single-head source checkpoint")
         est = _build_adapter(args.method, model, cfg, args.seed, ablate)
-        if args.method == "upl":
-            est.fit(train.drop_labels(), val)
-        elif args.method in ("tent", "ptbn", "selftrain"):
-            est.fit(train.drop_labels(), val)
-        elif args.method == "finetune-train":
+        if args.method == "finetune-train":
             est.fit(train, val)
-        else:  # finetune-valid
+        elif args.method == "finetune-valid":
             est.fit(val, val)
+        else:  # source-free: target labels stay unseen
+            est.fit(train.drop_labels(), val)
         model_header_epoch = est.best_epoch_
 
     ckpt = out / "adapted.uplc"
@@ -317,7 +315,7 @@ def _write_summary_csv(path, results: list, baseline: list | None):
 def cmd_eval(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
-    model, _, _ = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     ds = load_dataset(args.data)
     # one-sided: a split may legitimately lack its highest class
     if ds.num_classes > model.num_classes:
@@ -377,7 +375,7 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     combos = _parse_grid(args.grid)
-    model, _, _ = load_checkpoint(args.checkpoint)
+    model, _ = load_checkpoint(args.checkpoint)
     train = _dataset(args.data, "target_train")
     val = _dataset(args.data, "target_val")
     ac = cfg.adapt

@@ -98,7 +98,18 @@ def parse_config(path) -> Config:
             if isinstance(ftype, str):  # postponed annotations
                 ftype = types[ftype]
             setattr(target, key, _convert(raw, ftype, section, key))
+    for section in ("pretrain", "adapt"):
+        _check_schedule(getattr(cfg, section), section)
     return cfg
+
+
+def _check_schedule(sc, section: str):
+    """epochs >= 0; batch is 'volume' or an integer >= 1."""
+    if sc.epochs < 0:
+        raise ConfigError(f"[{section}] epochs: must be >= 0, got {sc.epochs}")
+    if sc.batch != "volume" and not (sc.batch.isdigit() and int(sc.batch) >= 1):
+        raise ConfigError(
+            f"[{section}] batch: must be 'volume' or an integer >= 1, got {sc.batch!r}")
 
 
 def snapshot(cfg: Config) -> dict:

@@ -1,7 +1,7 @@
 """Training and adaptation procedures with a fit/predict estimator surface.
 
-Each procedure is a class holding hyperparameters (``get_params`` /
-``set_params`` follow the sklearn convention, without depending on sklearn):
+Each procedure is a class holding its hyperparameters as attributes. All but
+``PtbnAdapter`` run the same epoch loop and differ only in the update step:
 
 - ``SourceTrainer``: supervised Dice training from scratch (also serves as
   the target-only ceiling when fed target data).
@@ -22,7 +22,6 @@ Fitted attributes use the trailing-underscore convention: ``model_``,
 
 from __future__ import annotations
 
-import inspect
 import json
 import time
 from dataclasses import dataclass
@@ -131,19 +130,8 @@ def validation_dice(predict_fn, val: LabeledSet, num_classes: int) -> tuple[floa
 
 
 class SegmentationEstimator:
-    """get_params/set_params plus predict/score over the fitted model."""
-
-    def get_params(self, deep: bool = True) -> dict:
-        sig = inspect.signature(type(self).__init__)
-        return {k: getattr(self, k) for k in sig.parameters if k != "self"}
-
-    def set_params(self, **params):
-        valid = self.get_params()
-        for k, v in params.items():
-            if k not in valid:
-                raise ValueError(f"unknown parameter {k!r} for {type(self).__name__}")
-            setattr(self, k, v)
-        return self
+    """predict over the fitted model, plus the epoch loop shared by every
+    procedure that takes optimizer steps."""
 
     @property
     def fitted_model(self) -> SegModel:
@@ -152,58 +140,66 @@ class SegmentationEstimator:
             raise NotFittedError(f"{type(self).__name__} is not fitted; call fit() first")
         return model
 
-    def _predict_labels(self, images: np.ndarray) -> np.ndarray:
+    def predict(self, images: np.ndarray) -> np.ndarray:
         labels, _ = infer_single(self.fitted_model, images)
         return labels
 
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        return self._predict_labels(images)
+    def _fit_epochs(self, work: SegModel, opt: Adam | None, train: UnlabeledSet,
+                    val: LabeledSet, step_fn, *, lr_fn=None, predict_fn=None):
+        """Run ``self.epochs`` epochs of ``step_fn(idx, epoch, step)`` over
+        ``self.batch``-sized batches, validate after each and keep the best.
 
-    def predict_proba(self, images: np.ndarray) -> np.ndarray:
-        _, probs = infer_single(self.fitted_model, images)
-        return probs
+        ``step_fn`` tapes one update, leaving gradients on the parameters, and
+        returns its log terms (keys among ``loss``, ``loss_entropy`` and
+        ``reliable_fraction``). ``opt`` None means observe only. The learning
+        rate is ``lr_fn(epoch)`` when given, else the constant ``self.lr``.
+        """
+        if predict_fn is None:
+            predict_fn = lambda imgs: infer_single(work, imgs)[0]
+        order_rng = SeedBundle(self.seed).stream("order")
+        log = TrainLog()
+        best_model, best_val, best_epoch = None, -1.0, -1
+        step = 0
+        for epoch in range(self.epochs):
+            t0 = time.monotonic()
+            lr = self.lr if lr_fn is None else lr_fn(epoch)
+            if lr_fn is not None:
+                opt.lr = lr
+            terms = {"loss": [], "loss_entropy": [], "reliable_fraction": []}
+            for idx in iter_batches(train, self.batch, order_rng):
+                step += 1
+                for key, value in step_fn(idx, epoch, step).items():
+                    terms[key].append(value)
+                if opt is not None:
+                    opt.step()
+                    opt.zero_grad()
+            val_mean, per_class = validation_dice(predict_fn, val, work.num_classes)
+            if val_mean > best_val:
+                best_model, best_val, best_epoch = work.clone(), val_mean, epoch
+            means = {k: float(np.mean(v)) if v else None for k, v in terms.items()}
+            log.append(EpochRecord(epoch, means["loss"], means["loss_entropy"], per_class,
+                                   val_mean, means["reliable_fraction"], lr,
+                                   time.monotonic() - t0))
+        # zero epochs hand back the input state
+        self.model_ = best_model if best_model is not None else work.clone()
+        self.best_epoch_, self.best_val_dice_ = best_epoch, best_val
+        self.log_ = log
+        return self
 
-    def score(self, images: np.ndarray, labels: np.ndarray) -> float:
-        pred = self.predict(images)
-        c = self.fitted_model.num_classes
-        return float(np.mean([dice_coefficient(pred, labels, k) for k in range(1, c)]))
+    def _supervised(self, work: SegModel, train: LabeledSet, val: LabeledSet, lr_fn,
+                    stage: str):
+        """Supervised Dice training of head 0 on every parameter."""
+        opt = Adam(work.parameter_groups("all"), lr_fn(0) if self.epochs else 1e-4)
 
-
-def _supervised_epochs(model: SegModel, train: LabeledSet, val: LabeledSet, *,
-                       epochs: int, lr_fn, batch, seeds: SeedBundle, stage: str):
-    """Shared supervised-Dice loop; returns (best model, best epoch, best val, log)."""
-    num_classes = model.num_classes
-    opt = Adam(model.parameter_groups("all"), lr_fn(0) if epochs else 1e-4)
-    order_rng = seeds.stream("order")
-    log = TrainLog()
-    best_model, best_val, best_epoch = None, -1.0, -1
-    step = 0
-    for epoch in range(epochs):
-        t0 = time.monotonic()
-        opt.lr = lr_fn(epoch)
-        losses = []
-        for idx in iter_batches(train, batch, order_rng):
-            step += 1
-            x = train.images[idx]
-            y = np.stack([one_hot(lab, num_classes) for lab in train.labels[idx]])
+        def step_fn(idx, epoch, step):
+            y = np.stack([one_hot(lab, work.num_classes) for lab in train.labels[idx]])
             with Tape() as tape:
-                p = model.forward_head(x, 0, train=True)
-                loss = dice_loss(p, y)
+                loss = dice_loss(work.forward_head(train.images[idx], 0, train=True), y)
                 _check_finite(loss.item(), stage=stage, epoch=epoch, step=step, lr=opt.lr)
                 tape.backward(loss)
-            opt.step()
-            opt.zero_grad()
-            losses.append(loss.item())
-        val_mean, per_class = validation_dice(
-            lambda imgs: infer_single(model, imgs)[0], val, num_classes
-        )
-        if val_mean > best_val:
-            best_model, best_val, best_epoch = model.clone(), val_mean, epoch
-        log.append(EpochRecord(epoch, float(np.mean(losses)), None, per_class,
-                               val_mean, None, opt.lr, time.monotonic() - t0))
-    if best_model is None:  # zero epochs: hand back the input state
-        best_model = model.clone()
-    return best_model, best_epoch, best_val, log
+            return {"loss": loss.item()}
+
+        return self._fit_epochs(work, opt, train, val, step_fn, lr_fn=lr_fn)
 
 
 class SourceTrainer(SegmentationEstimator):
@@ -232,13 +228,9 @@ class SourceTrainer(SegmentationEstimator):
         arch = ArchConfig(in_channels=self.in_channels, num_classes=self.num_classes,
                           levels=self.levels, base_channels=self.base_channels,
                           dropout_rate=self.dropout_rate)
-        seeds = SeedBundle(self.seed)
-        model = SegModel(arch, seeds.stream("init"))
+        model = SegModel(arch, SeedBundle(self.seed).stream("init"))
         lr_fn = lambda e: self.lr * (self.lr_decay ** (e // self.decay_every))
-        self.model_, self.best_epoch_, self.best_val_dice_, self.log_ = _supervised_epochs(
-            model, train, val, epochs=self.epochs, lr_fn=lr_fn, batch=self.batch,
-            seeds=seeds, stage="pretrain")
-        return self
+        return self._supervised(model, train, val, lr_fn, "pretrain")
 
 
 class FineTuner(SegmentationEstimator):
@@ -255,12 +247,8 @@ class FineTuner(SegmentationEstimator):
     def fit(self, train: LabeledSet, val: LabeledSet):
         if self.model is None:
             raise ValueError("FineTuner needs a pre-trained model")
-        work = self.model.clone()
-        seeds = SeedBundle(self.seed)
-        self.model_, self.best_epoch_, self.best_val_dice_, self.log_ = _supervised_epochs(
-            work, train, val, epochs=self.epochs, lr_fn=lambda e: self.lr,
-            batch=self.batch, seeds=seeds, stage="finetune")
-        return self
+        return self._supervised(self.model.clone(), train, val, lambda e: self.lr,
+                                "finetune")
 
 
 class MultiHeadAdapter(SegmentationEstimator):
@@ -295,9 +283,6 @@ class MultiHeadAdapter(SegmentationEstimator):
         self.use_mean_entropy = use_mean_entropy
         self.seed = seed
 
-    def _sample_t(self, rng) -> tf.SpatialTransform:
-        return tf.sample_transform(rng) if self.use_transforms else tf.IDENTITY
-
     def fit(self, train: UnlabeledSet, val: LabeledSet):
         if self.model is None:
             raise ValueError("MultiHeadAdapter needs a pre-trained model")
@@ -311,79 +296,57 @@ class MultiHeadAdapter(SegmentationEstimator):
         seeds = SeedBundle(self.seed)
         t_rng = seeds.stream("transforms")
         d_rng = seeds.stream("dropout")
-        order_rng = seeds.stream("order")
         eval_rng = seeds.stream("eval")
-        opt = Adam(work.parameter_groups("all"), self.lr)
-        log = TrainLog()
-        best_model, best_val, best_epoch = None, -1.0, -1
-        step = 0
-        for epoch in range(self.epochs):
-            t0 = time.monotonic()
-            sup_losses, ent_losses, rel_fracs = [], [], []
-            for idx in iter_batches(train, self.batch, order_rng):
-                step += 1
-                x = train.images[idx]
-                bundle = None
-                if self.use_pseudo_supervision:
-                    head_probs = []
-                    for k in range(work.num_heads):
-                        t_k = self._sample_t(t_rng)
-                        p = work.forward_head(tf.apply_transform(t_k, x), k,
-                                              train=True, rng=d_rng)
-                        head_probs.append(tf.apply_inverse(t_k, p.data))
-                    mean = np.stack(head_probs).mean(axis=0, dtype=np.float32)
-                    bundle = make_pseudo_label(mean, self.tau, cleanup=self.cleanup,
-                                               step=step)
-                    if not self.use_reliability:
-                        bundle.reliability = np.ones_like(bundle.reliability)
-                    rel_fracs.append(bundle.reliable_fraction)
-                with Tape() as tape:
-                    probs2 = []
-                    for k in range(work.num_heads):
-                        t_k = self._sample_t(t_rng)
-                        p = work.forward_head(tf.apply_transform(t_k, x), k,
-                                              train=True, rng=d_rng)
-                        probs2.append(tf.apply_inverse(t_k, p))
-                    sup = ment = None
-                    if self.use_pseudo_supervision:
-                        if bundle.step != step:  # two-pass pairing contract
-                            raise RuntimeError("pseudo-label bundle is stale")
-                        sup = multi_head_dice_loss(probs2, bundle)
-                        sup_losses.append(sup.item())
-                    if self.use_mean_entropy:
-                        ment = mean_prediction_entropy(probs2)
-                        ent_losses.append(ment.item())
-                    if sup is not None and ment is not None:
-                        loss = combined_loss(sup, ment, self.entropy_weight)
-                    elif sup is not None:
-                        loss = sup
-                    else:
-                        loss = ment * self.entropy_weight
-                    _check_finite(loss.item(), stage="adapt", epoch=epoch, step=step,
-                                  loss_sup=(sup.item() if sup is not None else None),
-                                  loss_entropy=(ment.item() if ment is not None else None))
-                    tape.backward(loss)
-                opt.step()
-                opt.zero_grad()
-            val_mean, per_class = validation_dice(
-                lambda imgs: infer_ensemble(work, imgs, eval_rng, tau=self.tau,
-                                            cleanup=self.cleanup)[0],
-                val, work.num_classes)
-            if val_mean > best_val:
-                best_model, best_val, best_epoch = work.clone(), val_mean, epoch
-            log.append(EpochRecord(
-                epoch,
-                float(np.mean(sup_losses)) if sup_losses else None,
-                float(np.mean(ent_losses)) if ent_losses else None,
-                per_class, val_mean,
-                float(np.mean(rel_fracs)) if rel_fracs else None,
-                self.lr, time.monotonic() - t0))
-        self.model_ = best_model if best_model is not None else work.clone()
-        self.best_epoch_, self.best_val_dice_ = best_epoch, best_val
-        self.log_ = log
-        return self
 
-    def _predict_labels(self, images: np.ndarray) -> np.ndarray:
+        def heads_pass(x):
+            """Every head under its own random transform, mapped back."""
+            probs = []
+            for k in range(work.num_heads):
+                t_k = tf.sample_transform(t_rng) if self.use_transforms else tf.IDENTITY
+                p = work.forward_head(tf.apply_transform(t_k, x), k, train=True, rng=d_rng)
+                probs.append(tf.apply_inverse(t_k, p))
+            return probs
+
+        def step_fn(idx, epoch, step):
+            x = train.images[idx]
+            terms = {}
+            bundle = None
+            if self.use_pseudo_supervision:
+                mean = np.stack([p.data for p in heads_pass(x)]).mean(axis=0,
+                                                                       dtype=np.float32)
+                bundle = make_pseudo_label(mean, self.tau, cleanup=self.cleanup, step=step)
+                if not self.use_reliability:
+                    bundle.reliability = np.ones_like(bundle.reliability)
+                terms["reliable_fraction"] = bundle.reliable_fraction
+            with Tape() as tape:
+                probs = heads_pass(x)
+                sup = ment = None
+                if bundle is not None:
+                    if bundle.step != step:  # two-pass pairing contract
+                        raise RuntimeError("pseudo-label bundle is stale")
+                    sup = multi_head_dice_loss(probs, bundle)
+                    terms["loss"] = sup.item()
+                if self.use_mean_entropy:
+                    ment = mean_prediction_entropy(probs)
+                    terms["loss_entropy"] = ment.item()
+                if ment is None:
+                    loss = sup
+                elif sup is None:
+                    loss = ment * self.entropy_weight
+                else:
+                    loss = combined_loss(sup, ment, self.entropy_weight)
+                _check_finite(loss.item(), stage="adapt", epoch=epoch, step=step,
+                              loss_sup=terms.get("loss"),
+                              loss_entropy=terms.get("loss_entropy"))
+                tape.backward(loss)
+            return terms
+
+        predict_fn = lambda imgs: infer_ensemble(work, imgs, eval_rng, tau=self.tau,
+                                                 cleanup=self.cleanup)[0]
+        opt = Adam(work.parameter_groups("all"), self.lr)
+        return self._fit_epochs(work, opt, train, val, step_fn, predict_fn=predict_fn)
+
+    def predict(self, images: np.ndarray) -> np.ndarray:
         rng = SeedBundle(self.seed).stream("predict")
         labels, _, _ = infer_ensemble(self.fitted_model, images, rng, tau=self.tau,
                                       cleanup=self.cleanup)
@@ -443,38 +406,18 @@ class TentAdapter(SegmentationEstimator):
         affine = set(id(t) for t in work.parameter_groups("bn_affine_only"))
         for t in work.parameter_groups("all"):
             t.requires_grad = id(t) in affine
-        seeds = SeedBundle(self.seed)
-        order_rng = seeds.stream("order")
+
+        def step_fn(idx, epoch, step):
+            with Tape() as tape:
+                p = work.forward_head(train.images[idx], 0, train=True, update_running=False)
+                loss = per_head_entropy([p])
+                _check_finite(loss.item(), stage="tent", epoch=epoch, step=step)
+                tape.backward(loss)
+            return {"loss_entropy": loss.item()}
+
         # lr 0 means observe-only: loss is logged, parameters never move
         opt = Adam(work.parameter_groups("bn_affine_only"), self.lr) if self.lr > 0 else None
-        log = TrainLog()
-        best_model, best_val, best_epoch = None, -1.0, -1
-        step = 0
-        for epoch in range(self.epochs):
-            t0 = time.monotonic()
-            losses = []
-            for idx in iter_batches(train, self.batch, order_rng):
-                step += 1
-                x = train.images[idx]
-                with Tape() as tape:
-                    p = work.forward_head(x, 0, train=True, update_running=False)
-                    loss = per_head_entropy([p])
-                    _check_finite(loss.item(), stage="tent", epoch=epoch, step=step)
-                    tape.backward(loss)
-                if opt is not None:
-                    opt.step()
-                    opt.zero_grad()
-                losses.append(loss.item())
-            val_mean, per_class = validation_dice(
-                lambda imgs: infer_single(work, imgs)[0], val, work.num_classes)
-            if val_mean > best_val:
-                best_model, best_val, best_epoch = work.clone(), val_mean, epoch
-            log.append(EpochRecord(epoch, None, float(np.mean(losses)), per_class,
-                                   val_mean, None, self.lr, time.monotonic() - t0))
-        self.model_ = best_model if best_model is not None else work.clone()
-        self.best_epoch_, self.best_val_dice_ = best_epoch, best_val
-        self.log_ = log
-        return self
+        return self._fit_epochs(work, opt, train, val, step_fn)
 
 
 class SelfTrainAdapter(SegmentationEstimator):
@@ -496,40 +439,18 @@ class SelfTrainAdapter(SegmentationEstimator):
         if self.model is None:
             raise ValueError("SelfTrainAdapter needs a pre-trained model")
         work = self.model.clone()
-        seeds = SeedBundle(self.seed)
-        order_rng = seeds.stream("order")
+
+        def step_fn(idx, epoch, step):
+            with Tape() as tape:
+                p = work.forward_head(train.images[idx], 0, train=True)
+                bundle = make_pseudo_label(p.data, tau=None, cleanup=self.cleanup, step=step)
+                sup = multi_head_dice_loss([p], bundle)
+                ment = mean_prediction_entropy([p])
+                loss = combined_loss(sup, ment, self.entropy_weight)
+                _check_finite(loss.item(), stage="selftrain", epoch=epoch, step=step,
+                              loss_sup=sup.item(), loss_entropy=ment.item())
+                tape.backward(loss)
+            return {"loss": sup.item(), "loss_entropy": ment.item()}
+
         opt = Adam(work.parameter_groups("all"), self.lr)
-        log = TrainLog()
-        best_model, best_val, best_epoch = None, -1.0, -1
-        step = 0
-        for epoch in range(self.epochs):
-            t0 = time.monotonic()
-            sup_losses, ent_losses = [], []
-            for idx in iter_batches(train, self.batch, order_rng):
-                step += 1
-                x = train.images[idx]
-                with Tape() as tape:
-                    p = work.forward_head(x, 0, train=True)
-                    bundle = make_pseudo_label(p.data, tau=None, cleanup=self.cleanup,
-                                               step=step)
-                    sup = multi_head_dice_loss([p], bundle)
-                    ment = mean_prediction_entropy([p])
-                    loss = combined_loss(sup, ment, self.entropy_weight)
-                    _check_finite(loss.item(), stage="selftrain", epoch=epoch, step=step,
-                                  loss_sup=sup.item(), loss_entropy=ment.item())
-                    tape.backward(loss)
-                opt.step()
-                opt.zero_grad()
-                sup_losses.append(sup.item())
-                ent_losses.append(ment.item())
-            val_mean, per_class = validation_dice(
-                lambda imgs: infer_single(work, imgs)[0], val, work.num_classes)
-            if val_mean > best_val:
-                best_model, best_val, best_epoch = work.clone(), val_mean, epoch
-            log.append(EpochRecord(epoch, float(np.mean(sup_losses)),
-                                   float(np.mean(ent_losses)), per_class, val_mean,
-                                   None, self.lr, time.monotonic() - t0))
-        self.model_ = best_model if best_model is not None else work.clone()
-        self.best_epoch_, self.best_val_dice_ = best_epoch, best_val
-        self.log_ = log
-        return self
+        return self._fit_epochs(work, opt, train, val, step_fn)

@@ -44,16 +44,3 @@ class Adam:
             vhat = self.v[i] / np.float32(bc2)
             p.data = p.data - np.float32(self.lr) * mhat / (np.sqrt(vhat) + np.float32(self.eps))
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed by parameter index, for checkpointing."""
-        out = {"t": np.array([self.t], dtype=np.float32)}
-        for i in range(len(self.params)):
-            out[f"m.{i}"] = self.m[i]
-            out[f"v.{i}"] = self.v[i]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]):
-        self.t = int(arrays["t"][0])
-        for i in range(len(self.params)):
-            self.m[i] = arrays[f"m.{i}"].astype(np.float32).reshape(self.m[i].shape)
-            self.v[i] = arrays[f"v.{i}"].astype(np.float32).reshape(self.v[i].shape)

@@ -11,9 +11,6 @@ import zlib
 
 import numpy as np
 
-STREAMS = ("data", "dropout", "transforms", "init", "order")
-
-
 def named_stream(root_seed: int, name: str) -> np.random.Generator:
     """Independent Generator for (root_seed, name); stable across runs."""
     if not 0 <= int(root_seed) < 2**64:

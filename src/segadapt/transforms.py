@@ -92,19 +92,3 @@ def sample_transform(rng: np.random.Generator) -> SpatialTransform:
     """Uniform draw over the 16-member family."""
     return FAMILY[int(rng.integers(len(FAMILY)))]
 
-
-def compose(a: SpatialTransform, b: SpatialTransform) -> SpatialTransform:
-    """The family member acting as 'apply b, then a' (closure of the family)."""
-    for cand in FAMILY:
-        if _same_action(cand, a, b):
-            return cand
-    raise RuntimeError("family is not closed; unreachable")
-
-
-_PROBE = np.arange(9.0, dtype=np.float64).reshape(3, 3)
-
-
-def _same_action(cand, a, b) -> bool:
-    lhs = apply_transform(cand, _PROBE)
-    rhs = apply_transform(a, apply_transform(b, _PROBE))
-    return bool(np.array_equal(lhs, rhs))

@@ -43,22 +43,3 @@ def check_binary_mask(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isin(np.unique(m), (0.0, 1.0))):
         raise ValueError("mask is not binary")
     return m
-
-
-def check_label_map(lab: np.ndarray, num_classes: int) -> np.ndarray:
-    lab = np.asarray(lab)
-    if lab.ndim != 2:
-        raise ValueError(f"label map must be [H,W], got shape {lab.shape}")
-    if not np.issubdtype(lab.dtype, np.integer):
-        raise ValueError("label map must be integer typed")
-    if lab.min() < 0 or lab.max() >= num_classes:
-        raise ValueError(f"label values outside 0..{num_classes - 1}")
-    return lab
-
-
-def check_same_shape(*arrays, names=None):
-    shapes = [np.asarray(a).shape for a in arrays]
-    if len(set(shapes)) > 1:
-        label = " vs ".join(str(s) for s in shapes)
-        prefix = f"{'/'.join(names)}: " if names else ""
-        raise ValueError(f"{prefix}shape mismatch: {label}")

@@ -184,21 +184,6 @@ class TestShapeOps:
         fd_assert(lambda: ad.tsum(ad.concat([a, b], axis=1) * ad.concat([a, b], axis=1)),
                   ref, [a, b])
 
-    def test_getitem_forward_and_gradient(self):
-        a = leaf((4, 6), 25)
-        sl = ad.getitem(a, (slice(1, 3), slice(None, None, 2)))
-        assert np.array_equal(sl.data, a.data[1:3, ::2])
-
-        def ad_loss():
-            piece = ad.getitem(a, (slice(1, 3), slice(None)))
-            return ad.tsum(piece * piece)
-
-        def ref():
-            piece = a.data[1:3, :].astype(np.float64)
-            return float((piece * piece).sum())
-
-        fd_assert(ad_loss, ref, [a])
-
     def test_flip_and_rot90_match_index_arithmetic(self):
         a = rand((2, 3, 4, 4), 26)
         f = ad.flip(ad.Tensor(a), axis=3).data

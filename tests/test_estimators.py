@@ -1,5 +1,6 @@
 """Training, adaptation and baseline procedures plus eval-mode inference."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -71,6 +72,77 @@ def toy_data():
 def pretrained(toy_data):
     train, val = toy_data
     return SourceTrainer(epochs=4, lr=0.01, seed=7).fit(train, val).model_
+
+
+def fit_digest(fitted) -> str:
+    """sha256 over parameters, BN running statistics, the train log and the
+    best-epoch selection of a fitted estimator."""
+    h = hashlib.sha256()
+    for n, t in sorted(fitted.model_.named_parameters().items()):
+        h.update(n.encode())
+        h.update(t.data.tobytes())
+    for n, (rm, rv, nb) in sorted(bn_state_of(fitted.model_).items()):
+        h.update(n.encode())
+        h.update(rm.tobytes())
+        h.update(rv.tobytes())
+        h.update(str(nb).encode())
+    h.update(fitted.log_.to_jsonl().encode())
+    h.update(repr((fitted.best_epoch_, fitted.best_val_dice_)).encode())
+    return h.hexdigest()
+
+
+# name -> (estimator from the pretrained model, fits on labeled data, digest)
+GOLDEN = {
+    "source-volume": (
+        lambda m: SourceTrainer(epochs=2, seed=41), True,
+        "d8a6cbb55d9e01ce85246812ea2112fcca50b9a33d9434ef710a7e047dadeb74"),
+    "source-batch3": (
+        lambda m: SourceTrainer(epochs=2, batch=3, seed=41), True,
+        "c75c8f732e3ab2beafc760a1ff69bff3b31b5e9577dc1ae90820a14f2f3a878c"),
+    "source-0-epochs": (
+        lambda m: SourceTrainer(epochs=0, seed=41), True,
+        "b8e820df81294ce8a3518cb3997775250909bd84ef4cee6fa9fb997573590aee"),
+    "finetune": (
+        lambda m: FineTuner(model=m, epochs=2, lr=1e-3, seed=42), True,
+        "df51866e5b6496e826c475684b712fa8ffc38c45c54755773772d18a4bea8206"),
+    "upl": (
+        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3, seed=43), False,
+        "b3c9b6dc597acd6f18e9f0dfb038365874bf0cd2871cb590a803364478f9a92e"),
+    "upl-no-entropy": (
+        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3,
+                                   use_mean_entropy=False, seed=43), False,
+        "dc9a14df891bab1cbbf4eb6ba0cc2f1b7d5940636b46b63cab383c6160ea3aae"),
+    "upl-no-pseudo": (
+        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3,
+                                   use_pseudo_supervision=False, seed=43), False,
+        "bff30a2706b2720f2bb9fa71d2e9537555154afe2fdb78c5fc6d9224f2afe2cc"),
+    "upl-no-M-TDG-T-batch2": (
+        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3, batch=2,
+                                   use_reliability=False, use_dropout=False,
+                                   use_transforms=False, seed=43), False,
+        "fbd0fd4eedc3e78a03ba7911f6d07468a30a527261740efcc36b0cc427a9f6c0"),
+    "tent": (
+        lambda m: TentAdapter(model=m, lr=1e-3, epochs=2, seed=44), False,
+        "e99e6b2d4a8c50388754d212e2e73a77fa47b27d5d71cab180b296449374be1a"),
+    "tent-lr0": (
+        lambda m: TentAdapter(model=m, lr=0.0, epochs=2, seed=44), False,
+        "a200bfe553facb7c1de0e7413b3a4f9c7db1ad98b1d8959458228c663f25bf81"),
+    "ptbn": (
+        lambda m: PtbnAdapter(model=m, seed=45), False,
+        "ab2c3d983bd799ab1624956136e8b92725835c4b20d8e0747bcab7dc33ee9477"),
+    "selftrain": (
+        lambda m: SelfTrainAdapter(model=m, epochs=2, lr=1e-3, seed=46), False,
+        "75affad3261ad415697723da73c049d6e69d6151cced6450c657cc718a6877b8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_fit_digest(name, toy_data, pretrained):
+    """Every estimator's fitted state and log are pinned bit for bit."""
+    make, labeled, digest = GOLDEN[name]
+    train, val = toy_data
+    fitted = make(pretrained).fit(train if labeled else train.drop_labels(), val)
+    assert fit_digest(fitted) == digest, name
 
 
 class TestBatching:
@@ -186,15 +258,6 @@ class TestSourceTrainer:
             assert set(rec) == {"epoch", "loss", "loss_entropy", "val_dice",
                                 "val_dice_mean", "reliable_fraction", "lr"}
 
-    def test_params_round_trip_and_validation(self):
-        t = SourceTrainer(epochs=5, lr=0.02)
-        p = t.get_params()
-        assert p["epochs"] == 5 and p["lr"] == 0.02
-        t.set_params(epochs=9)
-        assert t.get_params()["epochs"] == 9
-        with pytest.raises(ValueError):
-            t.set_params(bogus=1)
-
     def test_not_fitted_error(self):
         with pytest.raises(NotFittedError):
             SourceTrainer().predict(np.zeros((1, 1, 16, 16), np.float32))
@@ -204,9 +267,6 @@ class TestSourceTrainer:
         t = SourceTrainer(epochs=1, seed=15).fit(train, val)
         labels = t.predict(val.images)
         assert labels.shape == (len(val), 16, 16)
-        probs = t.predict_proba(val.images)
-        assert probs.shape == (len(val), 3, 16, 16)
-        assert 0.0 <= t.score(val.images, val.labels) <= 1.0
 
 
 class TestMultiHeadAdapter:

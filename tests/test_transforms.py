@@ -12,7 +12,6 @@ from segadapt.transforms import (
     SpatialTransform,
     apply_inverse,
     apply_transform,
-    compose,
     inverse,
     sample_transform,
 )
@@ -70,24 +69,6 @@ def test_inverse_of_flip_then_rotation_round_trips():
 def test_every_inverse_stays_in_the_family():
     for t in FAMILY:
         assert inverse(t) in FAMILY
-
-
-def test_composition_closed_and_matches_sequential_application():
-    # compose(a, b) acts as "b first, then a", like function composition
-    x = rand_img(2)
-    for a in FAMILY:
-        for b in FAMILY:
-            c = compose(a, b)
-            assert c in FAMILY
-            want = apply_transform(a, apply_transform(b, x))
-            assert np.array_equal(apply_transform(c, x), want)
-
-
-def test_compose_with_inverse_gives_identity_action():
-    x = rand_img(3)
-    for t in FAMILY:
-        c = compose(t, inverse(t))
-        assert np.array_equal(apply_transform(c, x), x)
 
 
 def test_sampling_is_deterministic_given_seed():
