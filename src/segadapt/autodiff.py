@@ -439,7 +439,19 @@ def conv2d(x, w, b=None) -> Tensor:
     """2-D convolution, stride 1, odd kernel, zero 'same' padding (k-1)/2.
 
     x: [B,Cin,H,W], w: [Cout,Cin,k,k], b: [Cout] or None. Output [B,Cout,H,W].
-    im2col + one sgemm per call; backward scatters through the same layout.
+
+    One code path for every shape and kernel size. The column matrix is
+    channel-major, ``cols[Cin*k*k, B*H*W]``: row (c, i, j) is input plane c of
+    the zero-padded input shifted by (i, j), so building it copies runs of W
+    contiguous floats. Forward is one sgemm, ``cols.T @ w2d.T``, whose
+    [B*H*W, Cout] result is the output in channels-last memory (a transposed
+    view). Backward recomputes ``cols`` instead of keeping it on the tape
+    (peak memory stays that of the input), takes dw = g2d @ cols.T and
+    dcols = w2d.T @ g2d with g2d = [Cout, B*H*W], and folds dcols back
+    (col2im) by k*k slice-adds into a padded [Cin, B, H+2p, W+2p] buffer in
+    (i, j) order. The input gradient is then copied into channels-last memory,
+    the layout the forward output has: numpy's reductions over it (BatchNorm,
+    bias) sum in memory order, so the layout fixes their rounding.
     """
     x, w = as_tensor(x), as_tensor(w)
     _check_4d(x.data, "conv2d input")
@@ -453,10 +465,16 @@ def conv2d(x, w, b=None) -> Tensor:
     k, p = kh, (kh - 1) // 2
     B, _, H, W = x.data.shape
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    # windows: [B, Cin, H, W, k, k] view over the padded input
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    y = np.tensordot(win, w.data, axes=([1, 4, 5], [1, 2, 3]))  # [B, H, W, Cout]
+    xdata = x.data
+
+    def im2col():
+        xp = np.pad(xdata, ((0, 0), (0, 0), (p, p), (p, p))) if p else xdata
+        # windows: [B, Cin, H, W, k, k] view over the padded input
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(Cin * k * k, B * H * W)
+
+    w2d = w.data.reshape(Cout, Cin * k * k)
+    y = (im2col().T @ w2d.T).reshape(B, H, W, Cout)
     if b is not None:
         b = as_tensor(b)
         y = y + b.data
@@ -466,18 +484,20 @@ def conv2d(x, w, b=None) -> Tensor:
         if out.grad is None:
             return
         g = out.grad
+        g2d = g.transpose(1, 0, 2, 3).reshape(Cout, B * H * W)
         if w.requires_grad:
-            _accum(w, np.tensordot(g, win, axes=([0, 2, 3], [0, 2, 3])))
+            _accum(w, (g2d @ im2col().T).reshape(Cout, Cin, k, k))
         if b is not None and b.requires_grad:
             _accum(b, g.sum(axis=(0, 2, 3)))
         if x.requires_grad:
-            dwin = np.tensordot(g, w.data, axes=([1], [0]))  # [B, H, W, Cin, k, k]
-            dxl = np.zeros((B, H + 2 * p, W + 2 * p, Cin), np.float32)
+            dcols = (w2d.T @ g2d).reshape(Cin, k, k, B, H, W)
+            dxp = np.zeros((Cin, B, H + 2 * p, W + 2 * p), DTYPE)
             for i in range(k):
                 for j in range(k):
-                    dxl[:, i : i + H, j : j + W, :] += dwin[:, :, :, :, i, j]
-            dxl = dxl[:, p : p + H, p : p + W, :] if p else dxl
-            _accum(x, dxl.transpose(0, 3, 1, 2))
+                    dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
+            dx = np.empty((B, H, W, Cin), DTYPE)
+            dx[...] = dxp[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
+            _accum(x, dx.transpose(0, 3, 1, 2))
 
     _record(out, bw)
     return out

@@ -19,8 +19,10 @@ Byte layout, little-endian throughout:
     trailer: 4         CRC32 (u32) over every preceding byte
 
 Entries carry parameters and BN running statistics (``<layer>.running_mean``,
-``.running_var``, ``.num_batches``). Loading verifies magic, version, CRC and
-entry shapes against the declared architecture.
+``.running_var``, ``.num_batches``). Loading verifies magic, version, CRC,
+the header (UTF-8 JSON, a valid architecture, num_heads in 1..MAX_HEADS) and
+entry shapes against the declared architecture; every failure is a
+``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import ArchConfig, SegModel
+from .model import MAX_HEADS, ArchConfig, SegModel
 
 MAGIC = b"UPLC"
 VERSION = 1
@@ -129,7 +131,10 @@ def read_entries(path) -> tuple[dict, dict[str, np.ndarray]]:
     version = r.u16()
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    header = json.loads(r.take(r.u32()).decode("utf-8"))
+    try:
+        header = json.loads(r.take(r.u32()).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"checkpoint header is not UTF-8 JSON: {e}") from e
     n = r.u32()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n):
@@ -150,8 +155,10 @@ def load_checkpoint(path) -> tuple[SegModel, dict]:
     try:
         arch = ArchConfig(**header["arch"])
         num_heads = int(header["num_heads"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
+    if not 1 <= num_heads <= MAX_HEADS:
+        raise CheckpointError(f"checkpoint num_heads must be in 1..{MAX_HEADS}, got {num_heads}")
 
     rng = np.random.default_rng(0)  # placeholder init, overwritten below
     model = SegModel(arch, rng)

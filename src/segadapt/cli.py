@@ -16,12 +16,14 @@ import itertools
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import Config, ConfigError, default_config, parse_config, snapshot
+from .config import (Config, ConfigError, check_adapt, check_tau, default_config, parse_config,
+                     snapshot)
 from .data import DatasetError, LabeledSet, load_dataset, save_dataset
 from .estimators import (FineTuner, MultiHeadAdapter, NumericFailure, PtbnAdapter,
                          SelfTrainAdapter, SourceTrainer, TentAdapter)
@@ -185,6 +187,8 @@ def cmd_adapt(args) -> int:
         model, _ = load_checkpoint(args.checkpoint)
         if model.num_heads != 1:
             raise CheckpointError("adaptation expects a single-head source checkpoint")
+        if args.method == "upl":
+            check_tau(cfg.adapt.tau, model.num_classes)
         est = _build_adapter(args.method, model, cfg, args.seed, ablate)
         if args.method == "finetune-train":
             est.fit(train, val)
@@ -376,9 +380,12 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     combos = _parse_grid(args.grid)
     model, _ = load_checkpoint(args.checkpoint)
+    ac = cfg.adapt
+    for combo in combos:
+        check_adapt(replace(ac, **combo), "grid")
+        check_tau(combo.get("tau", ac.tau), model.num_classes, "grid")
     train = _dataset(args.data, "target_train")
     val = _dataset(args.data, "target_val")
-    ac = cfg.adapt
     rows = []
     for combo in combos:
         est = MultiHeadAdapter(model=model, heads=combo.get("heads", ac.heads),

@@ -8,8 +8,11 @@ omitted, in which case defaults apply.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+from .model import MAX_HEADS
 
 
 class ConfigError(Exception):
@@ -100,6 +103,7 @@ def parse_config(path) -> Config:
             setattr(target, key, _convert(raw, ftype, section, key))
     for section in ("pretrain", "adapt"):
         _check_schedule(getattr(cfg, section), section)
+    check_adapt(cfg.adapt)
     return cfg
 
 
@@ -110,6 +114,31 @@ def _check_schedule(sc, section: str):
     if sc.batch != "volume" and not (sc.batch.isdigit() and int(sc.batch) >= 1):
         raise ConfigError(
             f"[{section}] batch: must be 'volume' or an integer >= 1, got {sc.batch!r}")
+
+
+# [adapt] key -> (predicate, requirement); every predicate is False for nan
+_ADAPT_BOUNDS = {
+    "heads": (lambda v: 1 <= v <= MAX_HEADS, f"in 1..{MAX_HEADS}"),
+    "tau": (lambda v: 0.0 < v < 1.0, "finite and in (0, 1)"),
+    "lr": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    "entropy_weight": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+}
+
+
+def check_adapt(ac, where: str = "[adapt]"):
+    """Range-check the adaptation values; ``where`` prefixes the key in errors."""
+    for key, (ok, need) in _ADAPT_BOUNDS.items():
+        v = getattr(ac, key)
+        if not ok(v):
+            raise ConfigError(f"{where} {key}: must be {need}, got {v}")
+
+
+def check_tau(tau: float, num_classes: int, where: str = "[adapt]"):
+    """A reliability threshold at or below 1/C would pass every pixel."""
+    if tau <= 1.0 / num_classes:
+        raise ConfigError(
+            f"{where} tau: must exceed 1/num_classes = 1/{num_classes} for this "
+            f"checkpoint, got {tau}")
 
 
 def snapshot(cfg: Config) -> dict:

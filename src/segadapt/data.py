@@ -17,6 +17,7 @@ File layout, little-endian:
 
 Labels are always stored; unlabeled use means dropping them in memory.
 Images must be square (transform family acts on square frames only).
+Loading rejects a file with any non-finite pixel.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ def load_dataset(path) -> LabeledSet:
         .reshape(n, c, h, w)
         .copy()
     )
+    if not np.isfinite(images).all():
+        raise DatasetError(f"{path}: non-finite image pixels")
     pos += n * c * h * w * 4
     labels = np.frombuffer(blob, dtype=np.uint8, count=n * h * w, offset=pos).reshape(n, h, w).copy()
     return LabeledSet(images, case_index, case_ids, labels)

@@ -594,6 +594,7 @@ def pipeline(tmp_path_factory):
     )
 
 
+@pytest.mark.slow
 class TestAdaptationBenchmark:
     def test_target_recovery_ordering_and_locked_values(self, pipeline):
         p = pipeline
@@ -618,6 +619,7 @@ class TestAdaptationBenchmark:
         )
 
 
+@pytest.mark.slow
 class TestDeterminism:
     def test_reruns_reproduce_every_artifact_byte_for_byte(self, pipeline):
         root = pipeline.root

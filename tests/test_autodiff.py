@@ -34,6 +34,29 @@ def leaf(shape, seed, lo=-2.0, hi=2.0):
     return ad.Tensor(rand(shape, seed, lo, hi), requires_grad=True)
 
 
+def conv_grads_f64(x, w, b, g):
+    """y and the gradients of sum(conv2d(x, w, b) * g), all from conv2d_f64.
+
+    dx is the oracle applied to g with the kernel flipped and its channel axes
+    swapped (the adjoint of a same-padded correlation). dw[:, :, i, j]
+    contracts g with the input shifted by tap (i, j), which is the oracle
+    applied to each input plane with a one-tap kernel.
+    """
+    B, Cin, H, W = x.shape
+    k = w.shape[2]
+    dw = np.empty(w.shape)
+    for i in range(k):
+        for j in range(k):
+            tap = np.zeros((1, 1, k, k))
+            tap[0, 0, i, j] = 1.0
+            shifted = conv2d_f64(x.reshape(B * Cin, 1, H, W), tap).reshape(B, Cin, H, W)
+            dw[:, :, i, j] = np.tensordot(g, shifted, axes=([0, 2, 3], [0, 2, 3]))
+    return {"y": conv2d_f64(x, w, b),
+            "dx": conv2d_f64(g, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]),
+            "dw": dw,
+            "db": g.sum(axis=(0, 2, 3), dtype=np.float64)}
+
+
 def fd_assert(ad_fn, ref_fn, tensors, p99=1e-3, worst=1e-2, floor=0.01):
     rep = finite_difference_check(ad_fn, ref_fn, tensors, floor=floor)
     assert rep.p99 <= p99, f"99th percentile rel err {rep.p99}"
@@ -341,6 +364,35 @@ class TestConv2d:
             return float((conv2d_f64(x.data, w.data, b.data) * g.astype(np.float64)).sum())
 
         fd_assert(lambda: ad.tsum(ad.conv2d(x, w, b) * ad.Tensor(g)), ref, [x, w, b])
+
+    @pytest.mark.parametrize("xshape,cout,k", [
+        ((1, 2, 5, 5), 3, 3),
+        ((2, 1, 4, 6), 2, 3),         # Cin=1, H != W
+        ((1, 3, 6, 4), 2, 1),         # B=1, 1x1 kernel, H != W
+        ((2, 3, 5, 7), 4, 5),
+        ((10, 16, 64, 64), 8, 3),     # the benchmark's widest decoder conv
+    ], ids=["5x5-k3", "Cin1-4x6", "B1-k1-6x4", "5x7-k5", "bench-64x64"])
+    def test_sweep_matches_float64_oracle(self, xshape, cout, k):
+        seed = 64 + sum(xshape) + cout + k
+        x = leaf(xshape, seed)
+        w = leaf((cout, xshape[1], k, k), seed + 1)
+        b = leaf((cout,), seed + 2)
+        g = rand((xshape[0], cout) + xshape[2:], seed + 3)
+        with ad.Tape() as tape:
+            y = ad.conv2d(x, w, b)
+            tape.backward(ad.tsum(y * ad.Tensor(g)))
+        want = conv_grads_f64(x.data, w.data, b.data, g)
+        for name, got in zip(("y", "dx", "dw", "db"), (y.data, x.grad, w.grad, b.grad)):
+            ref = want[name]
+            assert got.shape == ref.shape and got.dtype == np.float32, name
+            # the 1e-5 forward tolerance, relative to the magnitude of the result
+            err = np.abs(got - ref).max() / max(1.0, np.abs(ref).max())
+            assert err <= 1e-5, (name, err)
+        # x.grad stays in the channels-last memory layout of the forward output.
+        # The seed-42 LOCKED dice values depend on it: numpy reductions over
+        # the gradient (BatchNorm, bias) sum in memory order, so another
+        # layout rounds differently.
+        assert x.grad.transpose(0, 2, 3, 1).flags.c_contiguous
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

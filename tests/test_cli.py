@@ -8,14 +8,16 @@ one pre-trained checkpoint that the command tests share.
 import csv
 import hashlib
 import json
+import struct
+import zlib
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from segadapt import cli
-from segadapt.checkpoint import load_checkpoint, save_checkpoint
-from segadapt.config import default_config
+from segadapt.checkpoint import load_checkpoint, read_entries, save_checkpoint
+from segadapt.config import default_config, parse_config
 from segadapt.data import LabeledSet, load_dataset, save_dataset
 
 MINI_CFG = """\
@@ -150,6 +152,38 @@ class TestConfigErrors:
         assert cli.main(argv + ["--out", str(out), "--config", str(bad)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()  # rejected before anything is written
+
+    @pytest.mark.parametrize("key,value", [
+        ("tau", "1.5"), ("tau", "0"), ("tau", "nan"),
+        ("heads", "0"), ("heads", "20"),
+        ("lr", "-1"), ("lr", "nan"), ("lr", "inf"),
+        ("entropy_weight", "-0.5"), ("entropy_weight", "nan"),
+    ])
+    def test_out_of_range_adapt_value_exits_2_naming_key(self, ws, tmp_path, capsys,
+                                                         key, value):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[adapt]\n{key} = {value}\n")
+        out = tmp_path / "o"
+        assert cli.main(["adapt", "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
+                         "--out", str(out), "--config", str(bad)]) == 2
+        assert f"[adapt] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tau_at_or_below_one_over_classes_exits_2_before_training(self, ws, tmp_path,
+                                                                      capsys):
+        # in (0, 1), so it parses; the 3-class checkpoint then rules it out
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[adapt]\ntau = 0.2\n")
+        out = tmp_path / "o"
+        assert cli.main(["adapt", "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
+                         "--out", str(out), "--config", str(bad)]) == 2
+        assert "[adapt] tau" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    def test_tent_observe_only_lr_zero_is_valid(self, tmp_path):
+        cfg = tmp_path / "tent.cfg"
+        cfg.write_text("[adapt]\nlr = 0\nentropy_weight = 0\n")
+        assert parse_config(cfg).adapt.lr == 0.0
 
 
 class TestPretrain:
@@ -396,6 +430,55 @@ class TestEval:
         assert "class count mismatch" in capsys.readouterr().err
 
 
+def rewrite_header(src, dst, header: bytes):
+    """Copy a checkpoint with its header bytes replaced and a fresh CRC."""
+    body = src.read_bytes()[:-4]
+    hlen = struct.unpack_from("<I", body, 6)[0]
+    body = body[:6] + struct.pack("<I", len(header)) + header + body[10 + hlen:]
+    dst.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+
+
+def header_with(ckpt, **changes):
+    header, _ = read_entries(ckpt)
+    for key, value in changes.items():
+        if key in header["arch"]:
+            header["arch"][key] = value
+        else:
+            header[key] = value
+    return json.dumps(header, sort_keys=True).encode()
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("header", [
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(b"{not json", id="not-json"),
+        pytest.param({"levels": 0}, id="levels-0"),
+        pytest.param({"num_heads": 0}, id="heads-0"),
+        pytest.param({"num_heads": 50}, id="heads-50"),
+    ])
+    def test_bad_checkpoint_header_exits_3(self, ws, tmp_path, capsys, header):
+        if isinstance(header, dict):
+            header = header_with(ws.ckpt, **header)
+        bad = tmp_path / "bad.uplc"
+        rewrite_header(ws.ckpt, bad, header)
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--data",
+                       str(ws.data / "target_test.upld"), "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        assert "checkpoint" in capsys.readouterr().err
+
+    def test_non_finite_pixel_exits_3(self, ws, tmp_path, capsys):
+        ds = load_dataset(ws.data / "target_test.upld")
+        images = ds.images.copy()
+        images[0, 0, 3, 3] = np.nan
+        path = tmp_path / "nan.upld"
+        save_dataset(path, LabeledSet(images, ds.case_index, list(ds.case_ids),
+                                      labels=ds.labels))
+        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt), "--data", str(path),
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestAblate:
     def test_grid_rows_match_grid_size(self, ws):
         out = ws.root / "sweep"
@@ -433,6 +516,10 @@ class TestAblate:
         (["lr=1e-4"], "not allowed"),
         (["heads="], "no values"),
         (["heads=two"], "heads"),
+        (["heads=2,0"], "grid heads"),
+        (["tau=0.9,nan"], "grid tau"),
+        (["tau=0.2"], "grid tau"),  # below 1/3 for the 3-class checkpoint
+        (["entropy_weight=-1"], "grid entropy_weight"),
     ])
     def test_bad_grid_exits_2(self, ws, tmp_path, capsys, grid, fragment):
         rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),

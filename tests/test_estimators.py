@@ -95,44 +95,44 @@ def fit_digest(fitted) -> str:
 GOLDEN = {
     "source-volume": (
         lambda m: SourceTrainer(epochs=2, seed=41), True,
-        "d8a6cbb55d9e01ce85246812ea2112fcca50b9a33d9434ef710a7e047dadeb74"),
+        "1be56e3dc0c2e137f60f98fe33a41b3cb118c58d7fb12c7097481249f86b14c4"),
     "source-batch3": (
         lambda m: SourceTrainer(epochs=2, batch=3, seed=41), True,
-        "c75c8f732e3ab2beafc760a1ff69bff3b31b5e9577dc1ae90820a14f2f3a878c"),
+        "8af124f8521bf3c1345babfb67508c459e0d8669a7acba664ffd1a4285124e2d"),
     "source-0-epochs": (
         lambda m: SourceTrainer(epochs=0, seed=41), True,
         "b8e820df81294ce8a3518cb3997775250909bd84ef4cee6fa9fb997573590aee"),
     "finetune": (
         lambda m: FineTuner(model=m, epochs=2, lr=1e-3, seed=42), True,
-        "df51866e5b6496e826c475684b712fa8ffc38c45c54755773772d18a4bea8206"),
+        "9ae600a6adb14f5c25436ecf4be0cd96221978584a884346e26d9cf99996748f"),
     "upl": (
         lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3, seed=43), False,
-        "b3c9b6dc597acd6f18e9f0dfb038365874bf0cd2871cb590a803364478f9a92e"),
+        "31880f44913f547f877bb57381951f51aceaa036ade3ca7ffaa801892426acf5"),
     "upl-no-entropy": (
         lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3,
                                    use_mean_entropy=False, seed=43), False,
-        "dc9a14df891bab1cbbf4eb6ba0cc2f1b7d5940636b46b63cab383c6160ea3aae"),
+        "0ab0bf6ec4ef85e0ca6f01679ed44dc28e04934b2dd9bb48b4c619bccdfe307d"),
     "upl-no-pseudo": (
         lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3,
                                    use_pseudo_supervision=False, seed=43), False,
-        "bff30a2706b2720f2bb9fa71d2e9537555154afe2fdb78c5fc6d9224f2afe2cc"),
+        "287228bcad66e3c8cdd13e57957053cbfcc0b6666014d10df4cc32ca805c36b3"),
     "upl-no-M-TDG-T-batch2": (
         lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3, batch=2,
                                    use_reliability=False, use_dropout=False,
                                    use_transforms=False, seed=43), False,
-        "fbd0fd4eedc3e78a03ba7911f6d07468a30a527261740efcc36b0cc427a9f6c0"),
+        "cce435f3a7dea828c2d6e82dd1a0a73977a75fbf8eb22b231798287976d23d93"),
     "tent": (
         lambda m: TentAdapter(model=m, lr=1e-3, epochs=2, seed=44), False,
-        "e99e6b2d4a8c50388754d212e2e73a77fa47b27d5d71cab180b296449374be1a"),
+        "33fcf27dd2a31968b78c4dda150ef8443b1d88e9d66d9e47c97b577550746660"),
     "tent-lr0": (
         lambda m: TentAdapter(model=m, lr=0.0, epochs=2, seed=44), False,
-        "a200bfe553facb7c1de0e7413b3a4f9c7db1ad98b1d8959458228c663f25bf81"),
+        "3462c4a231217f5428f5fb96bf8ee4a1042bdfe9a4614ba2d4e3fa81e2702dfc"),
     "ptbn": (
         lambda m: PtbnAdapter(model=m, seed=45), False,
-        "ab2c3d983bd799ab1624956136e8b92725835c4b20d8e0747bcab7dc33ee9477"),
+        "068518e444456191fed7aca68a2d526fe1a4cb24870a396b78a25bb8c0173990"),
     "selftrain": (
         lambda m: SelfTrainAdapter(model=m, epochs=2, lr=1e-3, seed=46), False,
-        "75affad3261ad415697723da73c049d6e69d6151cced6450c657cc718a6877b8"),
+        "ef25a0569957365216372d92f6fa94063d519f6b96765d6d2cec9cd0917f7545"),
 }
 
 
