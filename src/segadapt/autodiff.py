@@ -1,11 +1,18 @@
 """Reverse-mode automatic differentiation on float32 numpy arrays.
 
 A ``Tensor`` wraps a float32 ndarray. Gradients are recorded on an explicit
-``Tape``: ops append backward closures while a tape is active, and
+``Tape``: ops append backward steps while a tape is active, and
 ``Tape.backward(scalar)`` replays them in reverse. With no active tape every
 op is a plain forward computation (the no-tape mode used by pseudo-label
 passes and inference). Tapes are per forward pass and discarded after use;
 the module is single-threaded by contract.
+
+Every primitive is written the same way: compute the forward value from the
+inputs' ``.data``, then return ``_node(value, parents, grads)``. ``parents``
+are the input Tensors, and ``grads`` maps the output's gradient to one
+gradient per parent, in parent order (``None`` for one that needs no work).
+``_node`` alone decides whether the output requires grad, records the
+backward step on the active tape and accumulates the parents' gradients.
 """
 
 from __future__ import annotations
@@ -87,7 +94,7 @@ def as_tensor(x) -> Tensor:
 
 
 class Tape:
-    """Ordered record of backward closures for one forward pass.
+    """Ordered record of backward steps for one forward pass.
 
     Use as a context manager; nesting is not supported. ``backward`` may be
     called once, after which the tape should be dropped.
@@ -109,9 +116,6 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def record(self, fn):
-        self._nodes.append(fn)
-
     def __len__(self):
         return len(self._nodes)
 
@@ -127,18 +131,28 @@ class Tape:
             fn()
 
 
-def _record(out: Tensor, fn):
+def _node(data, parents, grads) -> Tensor:
+    """The output Tensor of one primitive, and its step on the active tape.
+
+    The output requires grad when any parent does; only then, and only while
+    a tape is active, is a step recorded. Replayed, the step does nothing if
+    the output received no gradient; otherwise ``grads(out.grad)`` yields one
+    gradient per parent, in parent order, and each one that is not None is
+    accumulated into its parent if that parent requires grad (the first one
+    is copied). This is the only place that appends to a tape.
+    """
+    out = Tensor(data, any(p.requires_grad for p in parents))
     if _ACTIVE_TAPE is not None and out.requires_grad:
-        _ACTIVE_TAPE.record(fn)
 
+        def step():
+            if out.grad is None:
+                return
+            for p, g in zip(parents, grads(out.grad)):
+                if g is not None and p.requires_grad:
+                    p.grad = g.astype(DTYPE, copy=True) if p.grad is None else p.grad + g
 
-def _accum(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = g.astype(DTYPE, copy=True)
-    else:
-        t.grad = t.grad + g
+        _ACTIVE_TAPE._nodes.append(step)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -160,222 +174,103 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(out.grad, b.shape))
-
-    _record(out, bw)
-    return out
+    return _node(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data, a.requires_grad or b.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, _unbroadcast(out.grad, a.shape))
-        _accum(b, _unbroadcast(-out.grad, b.shape))
-
-    _record(out, bw)
-    return out
+    return _node(a.data - b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data, a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, -out.grad)
-
-    _record(out, bw)
-    return out
+    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, _unbroadcast(out.grad * b.data, a.shape))
-        _accum(b, _unbroadcast(out.grad * a.data, b.shape))
-
-    _record(out, bw)
-    return out
+    return _node(a.data * b.data, (a, b),
+                 lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data, a.requires_grad or b.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, _unbroadcast(out.grad / b.data, a.shape))
-        _accum(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.shape))
-
-    _record(out, bw)
-    return out
+    return _node(a.data / b.data, (a, b),
+                 lambda g: (_unbroadcast(g / b.data, a.shape),
+                            _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
 
 
 def log(a) -> Tensor:
     """Natural log; the caller guards the domain (see clamp_min)."""
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad / a.data)
-
-    _record(out, bw)
-    return out
+    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def clamp_min(a, lo: float) -> Tensor:
     """max(a, lo); gradient passes only where a > lo."""
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, DTYPE(lo)), a.requires_grad)
-    mask = (a.data > lo).astype(DTYPE)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * mask)
-
-    _record(out, bw)
-    return out
+    return _node(np.maximum(a.data, DTYPE(lo)), (a,),
+                 lambda g: (g * (a.data > lo).astype(DTYPE),))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.maximum(a.data, 0), a.requires_grad)
-    mask = (a.data > 0).astype(DTYPE)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * mask)
-
-    _record(out, bw)
-    return out
+    return _node(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0).astype(DTYPE),))
 
 
 def leaky_relu(a, alpha: float = 0.01) -> Tensor:
     a = as_tensor(a)
     # for 0 < alpha < 1 this equals the piecewise form, in two ufunc passes
-    out = Tensor(np.maximum(a.data, DTYPE(alpha) * a.data), a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, np.where(a.data > 0, out.grad, DTYPE(alpha) * out.grad))
-
-    _record(out, bw)
-    return out
+    return _node(np.maximum(a.data, DTYPE(alpha) * a.data), (a,),
+                 lambda g: (np.where(a.data > 0, g, DTYPE(alpha) * g),))
 
 
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
 
+def _unreduce(g: np.ndarray, a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    # broadcast a reduction's output gradient back over the reduced axes of a
+    if axis is not None and not keepdims:
+        ax = axis if isinstance(axis, tuple) else (axis,)
+        g = np.expand_dims(g, tuple(i % a.ndim for i in ax))
+    return np.broadcast_to(g, a.shape).astype(DTYPE)
+
+
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims, dtype=DTYPE), a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
-        if axis is not None and not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            ax = tuple(i % a.data.ndim for i in ax)
-            g = np.expand_dims(g, ax)
-        _accum(a, np.broadcast_to(g, a.shape).astype(DTYPE))
-
-    _record(out, bw)
-    return out
+    return _node(a.data.sum(axis=axis, keepdims=keepdims, dtype=DTYPE), (a,),
+                 lambda g: (_unreduce(g, a.data, axis, keepdims),))
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims, dtype=DTYPE), a.requires_grad)
-    n = a.data.size if axis is None else np.prod(
-        [a.data.shape[i % a.data.ndim] for i in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    inv = DTYPE(1.0 / n)
-
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
-        if axis is not None and not keepdims:
-            ax = axis if isinstance(axis, tuple) else (axis,)
-            ax = tuple(i % a.data.ndim for i in ax)
-            g = np.expand_dims(g, ax)
-        _accum(a, np.broadcast_to(g, a.shape).astype(DTYPE) * inv)
-
-    _record(out, bw)
-    return out
+    # g.size / a.size rounds to the same float as 1/n, n the count of reduced elements
+    return _node(a.data.mean(axis=axis, keepdims=keepdims, dtype=DTYPE), (a,),
+                 lambda g: (_unreduce(g, a.data, axis, keepdims) * DTYPE(g.size / a.data.size),))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        any(t.requires_grad for t in tensors),
-    )
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bw():
-        if out.grad is None:
-            return
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.data.ndim
-            idx[axis] = slice(int(lo), int(hi))
-            _accum(t, out.grad[tuple(idx)])
-
-    _record(out, bw)
-    return out
+    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
+                 lambda g: np.split(g, splits, axis=axis))
 
 
 def flip(a, axis: int) -> Tensor:
     """Reversal along one axis; backward is the same flip."""
     a = as_tensor(a)
-    out = Tensor(np.flip(a.data, axis=axis).copy(), a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, np.flip(out.grad, axis=axis))
-
-    _record(out, bw)
-    return out
+    return _node(np.flip(a.data, axis=axis).copy(), (a,), lambda g: (np.flip(g, axis=axis),))
 
 
 def rot90k(a, k: int) -> Tensor:
     """Rotate the last two axes counter-clockwise by k quarter turns."""
     a = as_tensor(a)
     k = k % 4
-    out = Tensor(np.rot90(a.data, k, axes=(-2, -1)).copy(), a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, np.rot90(out.grad, -k, axes=(-2, -1)).copy())
-
-    _record(out, bw)
-    return out
+    return _node(np.rot90(a.data, k, axes=(-2, -1)).copy(), (a,),
+                 lambda g: (np.rot90(g, -k, axes=(-2, -1)).copy(),))
 
 
 # ---------------------------------------------------------------------------
@@ -394,17 +289,7 @@ def softmax_channel(a) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(p, a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
-        dot = (g * p).sum(axis=axis, keepdims=True)
-        _accum(a, p * (g - dot))
-
-    _record(out, bw)
-    return out
+    return _node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=axis, keepdims=True)),))
 
 
 def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -415,15 +300,7 @@ def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
     if not train or rate == 0.0:
         return a
     keep = (rng.random(a.data.shape) >= rate).astype(DTYPE) / DTYPE(1.0 - rate)
-    out = Tensor(a.data * keep, a.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(a, out.grad * keep)
-
-    _record(out, bw)
-    return out
+    return _node(a.data * keep, (a,), lambda g: (g * keep,))
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +328,8 @@ def conv2d(x, w, b=None) -> Tensor:
     (col2im) by k*k slice-adds into a padded [Cin, B, H+2p, W+2p] buffer in
     (i, j) order. The input gradient is then copied into channels-last memory,
     the layout the forward output has: numpy's reductions over it (BatchNorm,
-    bias) sum in memory order, so the layout fixes their rounding.
+    bias) sum in memory order, so the layout fixes their rounding. Backward
+    computes dw and the col2im only for inputs that require grad.
     """
     x, w = as_tensor(x), as_tensor(w)
     _check_4d(x.data, "conv2d input")
@@ -475,20 +353,18 @@ def conv2d(x, w, b=None) -> Tensor:
 
     w2d = w.data.reshape(Cout, Cin * k * k)
     y = (im2col().T @ w2d.T).reshape(B, H, W, Cout)
+    parents = (w, x)
     if b is not None:
         b = as_tensor(b)
         y = y + b.data
-    out = Tensor(y.transpose(0, 3, 1, 2), x.requires_grad or w.requires_grad or (b is not None and b.requires_grad))
+        parents = (w, b, x)
 
-    def bw():
-        if out.grad is None:
-            return
-        g = out.grad
+    def grads(g):
+        # yields in parent order: dw, db (with a bias), dx
         g2d = g.transpose(1, 0, 2, 3).reshape(Cout, B * H * W)
-        if w.requires_grad:
-            _accum(w, (g2d @ im2col().T).reshape(Cout, Cin, k, k))
-        if b is not None and b.requires_grad:
-            _accum(b, g.sum(axis=(0, 2, 3)))
+        yield (g2d @ im2col().T).reshape(Cout, Cin, k, k) if w.requires_grad else None
+        if b is not None:
+            yield g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         if x.requires_grad:
             dcols = (w2d.T @ g2d).reshape(Cin, k, k, B, H, W)
             dxp = np.zeros((Cin, B, H + 2 * p, W + 2 * p), DTYPE)
@@ -497,10 +373,9 @@ def conv2d(x, w, b=None) -> Tensor:
                     dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
             dx = np.empty((B, H, W, Cin), DTYPE)
             dx[...] = dxp[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
-            _accum(x, dx.transpose(0, 3, 1, 2))
+            yield dx.transpose(0, 3, 1, 2)
 
-    _record(out, bw)
-    return out
+    return _node(y.transpose(0, 3, 1, 2), parents, grads)
 
 
 def maxpool2d(x) -> Tensor:
@@ -512,34 +387,22 @@ def maxpool2d(x) -> Tensor:
         raise ValueError(f"maxpool2d needs even spatial dims, got {H}x{W}")
     win = x.data.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H // 2, W // 2, 4)
     arg = win.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], x.requires_grad)
 
-    def bw():
-        if out.grad is None:
-            return
+    def grads(g):
         dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, arg[..., None], out.grad[..., None], axis=-1)
-        g = dwin.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W)
-        _accum(x, g)
+        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
+        return (dwin.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W),)
 
-    _record(out, bw)
-    return out
+    return _node(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], (x,), grads)
 
 
 def upsample_nearest2x(x) -> Tensor:
     """Nearest-neighbor 2x upsampling; backward sums each 2x2 block."""
     x = as_tensor(x)
     _check_4d(x.data, "upsample input")
-    out = Tensor(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), x.requires_grad)
     B, C, H, W = x.data.shape
-
-    def bw():
-        if out.grad is None:
-            return
-        _accum(x, out.grad.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5), dtype=DTYPE))
-
-    _record(out, bw)
-    return out
+    return _node(np.repeat(np.repeat(x.data, 2, axis=2), 2, axis=3), (x,),
+                 lambda g: (g.reshape(B, C, H, 2, W, 2).sum(axis=(3, 5), dtype=DTYPE),))
 
 
 class BatchNorm2d:
@@ -576,43 +439,27 @@ class BatchNorm2d:
                 self.running_mean = (1 - m) * self.running_mean + m * mean
                 self.running_var = (1 - m) * self.running_var + m * var
                 self.num_batches += 1
-            invstd = 1.0 / np.sqrt(var + DTYPE(self.eps))
-            xhat = diff * invstd.reshape(c)
-            out = Tensor(gamma.data.reshape(c) * xhat + beta.data.reshape(c),
-                         x.requires_grad or gamma.requires_grad or beta.requires_grad)
-            N = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        else:
+            if self.num_batches == 0:
+                raise RuntimeError("batchnorm eval mode before any running statistics exist")
+            diff = x.data - self.running_mean.reshape(c)
+            var = self.running_var
+        invstd = 1.0 / np.sqrt(var + DTYPE(self.eps))
+        xhat = diff * invstd.reshape(c)
+        N = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
-            def bw():
-                if out.grad is None:
-                    return
-                g = out.grad
-                _accum(beta, g.sum(axis=(0, 2, 3)))
-                _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-                if x.requires_grad:
-                    dxhat = g * gamma.data.reshape(c)
-                    s1 = dxhat.sum(axis=(0, 2, 3)).reshape(c)
-                    s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(c)
-                    dx = (invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)
-                    _accum(x, dx.astype(DTYPE))
-
-            _record(out, bw)
-            return out
-        # eval path
-        if self.num_batches == 0:
-            raise RuntimeError("batchnorm eval mode before any running statistics exist")
-        invstd = 1.0 / np.sqrt(self.running_var + DTYPE(self.eps))
-        xhat = (x.data - self.running_mean.reshape(c)) * invstd.reshape(c)
-        out = Tensor(gamma.data.reshape(c) * xhat + beta.data.reshape(c),
-                     x.requires_grad or gamma.requires_grad or beta.requires_grad)
-
-        def bw_eval():
-            if out.grad is None:
+        def grads(g):
+            # yields in parent order: dbeta, dgamma, dx (only if x needs it)
+            yield g.sum(axis=(0, 2, 3))
+            yield (g * xhat).sum(axis=(0, 2, 3))
+            if not x.requires_grad:
                 return
-            g = out.grad
-            _accum(beta, g.sum(axis=(0, 2, 3)))
-            _accum(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                _accum(x, g * (gamma.data.reshape(c) * invstd.reshape(c)))
+            if not train:  # the statistics are constants
+                yield g * (gamma.data.reshape(c) * invstd.reshape(c))
+                return
+            dxhat = g * gamma.data.reshape(c)
+            s1 = dxhat.sum(axis=(0, 2, 3)).reshape(c)
+            s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(c)
+            yield ((invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE)
 
-        _record(out, bw_eval)
-        return out
+        return _node(gamma.data.reshape(c) * xhat + beta.data.reshape(c), (beta, gamma, x), grads)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (Config, ConfigError, check_adapt, check_tau, default_config, parse_config,
+from .config import (Config, ConfigError, check_bounds, check_tau, default_config, parse_config,
                      snapshot)
 from .data import DatasetError, LabeledSet, load_dataset, save_dataset
 from .estimators import (FineTuner, MultiHeadAdapter, NumericFailure, PtbnAdapter,
@@ -159,7 +159,6 @@ def _build_adapter(method: str, model, cfg: Config, seed: int, ablate: set):
 def cmd_adapt(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
-    out = _out_dir(args)
     ablate = set()
     if args.ablate:
         if args.method != "upl":
@@ -181,8 +180,7 @@ def cmd_adapt(args) -> int:
         est = SourceTrainer(num_classes=train.num_classes, epochs=pc.epochs, lr=pc.lr,
                             lr_decay=pc.lr_decay, decay_every=pc.decay_every,
                             batch=pc.batch, seed=args.seed)
-        est.fit(train, val)
-        model_header_epoch = est.best_epoch_
+        fit_set = train
     else:
         model, _ = load_checkpoint(args.checkpoint)
         if model.num_heads != 1:
@@ -191,15 +189,16 @@ def cmd_adapt(args) -> int:
             check_tau(cfg.adapt.tau, model.num_classes)
         est = _build_adapter(args.method, model, cfg, args.seed, ablate)
         if args.method == "finetune-train":
-            est.fit(train, val)
+            fit_set = train
         elif args.method == "finetune-valid":
-            est.fit(val, val)
+            fit_set = val
         else:  # source-free: target labels stay unseen
-            est.fit(train.drop_labels(), val)
-        model_header_epoch = est.best_epoch_
+            fit_set = train.drop_labels()
 
+    out = _out_dir(args)  # only once every check has passed
+    est.fit(fit_set, val)
     ckpt = out / "adapted.uplc"
-    save_checkpoint(ckpt, est.model_, epoch=model_header_epoch, seeds={"root": args.seed})
+    save_checkpoint(ckpt, est.model_, epoch=est.best_epoch_, seeds={"root": args.seed})
     logp = out / "trainlog.jsonl"
     est.log_.write(logp)
     outputs = [ckpt, logp]
@@ -377,15 +376,15 @@ def _parse_grid(tokens: list) -> list:
 def cmd_ablate(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
-    out = _out_dir(args)
     combos = _parse_grid(args.grid)
     model, _ = load_checkpoint(args.checkpoint)
     ac = cfg.adapt
     for combo in combos:
-        check_adapt(replace(ac, **combo), "grid")
+        check_bounds(replace(ac, **combo), "adapt", "grid")
         check_tau(combo.get("tau", ac.tau), model.num_classes, "grid")
     train = _dataset(args.data, "target_train")
     val = _dataset(args.data, "target_val")
+    out = _out_dir(args)
     rows = []
     for combo in combos:
         est = MultiHeadAdapter(model=model, heads=combo.get("heads", ac.heads),

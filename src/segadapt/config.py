@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .model import MAX_HEADS
+from .model import MAX_HEADS, ArchConfig
 
 
 class ConfigError(Exception):
@@ -101,36 +101,48 @@ def parse_config(path) -> Config:
             if isinstance(ftype, str):  # postponed annotations
                 ftype = types[ftype]
             setattr(target, key, _convert(raw, ftype, section, key))
-    for section in ("pretrain", "adapt"):
-        _check_schedule(getattr(cfg, section), section)
-    check_adapt(cfg.adapt)
+    for section in _SECTIONS:
+        check_bounds(getattr(cfg, section), section)
     return cfg
 
 
-def _check_schedule(sc, section: str):
-    """epochs >= 0; batch is 'volume' or an integer >= 1."""
-    if sc.epochs < 0:
-        raise ConfigError(f"[{section}] epochs: must be >= 0, got {sc.epochs}")
-    if sc.batch != "volume" and not (sc.batch.isdigit() and int(sc.batch) >= 1):
-        raise ConfigError(
-            f"[{section}] batch: must be 'volume' or an integer >= 1, got {sc.batch!r}")
+_SCHEDULE_BOUNDS = {
+    "epochs": (lambda v: v >= 0, ">= 0"),
+    "batch": (lambda v: v == "volume" or (v.isdigit() and int(v) >= 1),
+              "'volume' or an integer >= 1"),
+}
+_SIZE_STEP = 2 ** ArchConfig().levels  # each encoder level halves the image
 
-
-# [adapt] key -> (predicate, requirement); every predicate is False for nan
-_ADAPT_BOUNDS = {
-    "heads": (lambda v: 1 <= v <= MAX_HEADS, f"in 1..{MAX_HEADS}"),
-    "tau": (lambda v: 0.0 < v < 1.0, "finite and in (0, 1)"),
-    "lr": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
-    "entropy_weight": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+# section -> key -> (predicate, requirement); every predicate is False for nan
+_BOUNDS = {
+    "data": {
+        "image_size": (lambda v: v >= 32 and v % _SIZE_STEP == 0,
+                       f"a multiple of {_SIZE_STEP} and >= 32"),
+    },
+    "pretrain": {
+        **_SCHEDULE_BOUNDS,
+        "lr": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+        "lr_decay": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
+        "decay_every": (lambda v: v >= 1, ">= 1"),
+    },
+    "adapt": {
+        **_SCHEDULE_BOUNDS,
+        "heads": (lambda v: 1 <= v <= MAX_HEADS, f"in 1..{MAX_HEADS}"),
+        "tau": (lambda v: 0.0 < v < 1.0, "finite and in (0, 1)"),
+        "lr": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+        "entropy_weight": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),
+    },
 }
 
 
-def check_adapt(ac, where: str = "[adapt]"):
-    """Range-check the adaptation values; ``where`` prefixes the key in errors."""
-    for key, (ok, need) in _ADAPT_BOUNDS.items():
-        v = getattr(ac, key)
+def check_bounds(sc, section: str, where: str | None = None):
+    """Range-check one section's values; ``where`` (default ``[section]``)
+    prefixes the key in errors."""
+    where = where or f"[{section}]"
+    for key, (ok, need) in _BOUNDS[section].items():
+        v = getattr(sc, key)
         if not ok(v):
-            raise ConfigError(f"{where} {key}: must be {need}, got {v}")
+            raise ConfigError(f"{where} {key}: must be {need}, got {v!r}")
 
 
 def check_tau(tau: float, num_classes: int, where: str = "[adapt]"):

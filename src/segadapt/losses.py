@@ -30,15 +30,7 @@ def _as4d(x) -> Tensor:
 
 def _expand(t: Tensor) -> Tensor:
     # [C,H,W] -> [1,C,H,W] without leaving the graph
-    out = Tensor(t.data[None], t.requires_grad)
-
-    def bw():
-        if out.grad is None:
-            return
-        ad._accum(t, out.grad[0])
-
-    ad._record(out, bw)
-    return out
+    return ad._node(t.data[None], (t,), lambda g: (g[0],))
 
 
 def _wdice_core(p: Tensor, y: Tensor, m: Tensor, eta: float) -> Tensor:

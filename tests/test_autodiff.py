@@ -526,6 +526,28 @@ class TestBatchNorm:
 
         fd_assert(ad_loss, ref, [x, bn.gamma, bn.beta])
 
+    def test_eval_gradients_match_finite_differences(self):
+        bn = ad.BatchNorm2d(2)
+        bn.forward(ad.Tensor(rand((2, 2, 3, 3), 93, lo=-1, hi=3)), train=True)
+        bn.gamma.data[:] = np.array([1.3, -0.6], np.float32)
+        bn.beta.data[:] = np.array([0.2, -0.4], np.float32)
+        x = leaf((2, 2, 3, 3), 94)
+
+        def ad_loss():
+            out = bn.forward(x, train=False)
+            return ad.tsum(out * out)
+
+        def ref():
+            c = (1, 2, 1, 1)
+            rm = bn.running_mean.astype(np.float64).reshape(c)
+            invstd = 1.0 / np.sqrt(bn.running_var.astype(np.float64).reshape(c) + bn.eps)
+            gamma = bn.gamma.data.astype(np.float64).reshape(c)
+            beta = bn.beta.data.astype(np.float64).reshape(c)
+            out = (x.data.astype(np.float64) - rm) * invstd * gamma + beta
+            return float((out * out).sum())
+
+        fd_assert(ad_loss, ref, [x, bn.gamma, bn.beta])
+
 
 # ---------------------------------------------------------------------
 # tape and backward semantics
@@ -580,6 +602,14 @@ class TestTape:
             z = y * 1.0
             tape.backward(ad.tsum(z))
         assert x.grad is None  # the pre-tape multiply is invisible to backward
+
+    def test_ops_on_constants_inside_a_tape_record_nothing(self):
+        x = ad.Tensor(rand((1, 2, 4, 4), 95))
+        w = ad.Tensor(rand((3, 2, 3, 3), 96))
+        with ad.Tape() as tape:
+            y = ad.relu(ad.conv2d(x, w, np.zeros(3, np.float32)))
+            assert not y.requires_grad
+            assert len(tape) == 0
 
     def test_float32_preserved_through_the_graph(self):
         x = leaf((2, 2, 4, 4), 91)

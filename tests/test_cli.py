@@ -169,6 +169,27 @@ class TestConfigErrors:
         assert f"[adapt] {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("pretrain", "lr", "-1"), ("pretrain", "lr", "0"),
+        ("pretrain", "lr_decay", "-2"), ("pretrain", "lr_decay", "nan"),
+        ("pretrain", "decay_every", "0"),
+        ("data", "image_size", "0"), ("data", "image_size", "8"),
+        ("data", "image_size", "30"),
+    ])
+    def test_out_of_range_pretrain_or_data_value_exits_2_naming_key(
+            self, ws, tmp_path, capsys, section, key, value):
+        bad = tmp_path / "bad.cfg"
+        out = tmp_path / "o"
+        if section == "pretrain":
+            bad.write_text(f"[pretrain]\nepochs = 1\n{key} = {value}\n")
+            argv = ["pretrain", "--data", str(ws.data)]
+        else:
+            bad.write_text(f"[data]\nn_cases = 10\n{key} = {value}\n")
+            argv = ["gen-data"]
+        assert cli.main(argv + ["--out", str(out), "--config", str(bad)]) == 2
+        assert f"[{section}] {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tau_at_or_below_one_over_classes_exits_2_before_training(self, ws, tmp_path,
                                                                       capsys):
         # in (0, 1), so it parses; the 3-class checkpoint then rules it out
@@ -178,7 +199,12 @@ class TestConfigErrors:
         assert cli.main(["adapt", "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
                          "--out", str(out), "--config", str(bad)]) == 2
         assert "[adapt] tau" in capsys.readouterr().err
-        assert not any(out.iterdir())
+        assert not out.exists()
+        out = tmp_path / "ablate"
+        assert cli.main(["ablate", "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
+                         "--out", str(out), "--grid", "tau=0.2"]) == 2
+        assert "grid tau" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tent_observe_only_lr_zero_is_valid(self, tmp_path):
         cfg = tmp_path / "tent.cfg"

@@ -106,6 +106,16 @@ class TestForward:
             assert np.array_equal(bn.running_var, rv)
             assert bn.num_batches == nb
 
+    @pytest.mark.parametrize("grown,nodes", [(False, 44), (True, 45)])
+    def test_taped_forward_records_one_node_per_primitive(self, grown, nodes):
+        # 13 conv2d, 12 BatchNorm, 12 leaky_relu, 2 maxpool, 2 upsample,
+        # 2 concat and the softmax; a grown head adds its dropout gate
+        m = make_model().grow(2) if grown else make_model()
+        x = np.random.default_rng(11).standard_normal((1, 1, 16, 16)).astype(np.float32)
+        with ad.Tape() as tape:
+            m.forward_head(x, 1 if grown else 0, train=True, rng=np.random.default_rng(1))
+        assert len(tape) == nodes
+
 
 class TestParameterGroups:
     def test_exact_parameter_counts(self):
