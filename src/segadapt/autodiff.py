@@ -460,6 +460,6 @@ class BatchNorm2d:
             dxhat = g * gamma.data.reshape(c)
             s1 = dxhat.sum(axis=(0, 2, 3)).reshape(c)
             s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(c)
-            yield ((invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE)
+            yield ((invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE, copy=False)
 
         return _node(gamma.data.reshape(c) * xhat + beta.data.reshape(c), (beta, gamma, x), grads)

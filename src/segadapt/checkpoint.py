@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -138,12 +139,18 @@ def read_entries(path) -> tuple[dict, dict[str, np.ndarray]]:
     n = r.u32()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"checkpoint entry name is not UTF-8: {e}") from e
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python ints: a damaged shape cannot wrap around
         payload = r.take(4 * count)
-        arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        try:  # a zero dimension lets the others be too large for memory
+            arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        except ValueError as e:
+            raise CheckpointError(f"entry {name!r} has an impossible shape {shape}") from e
     if r.pos != len(body):
         raise CheckpointError("trailing bytes after final entry")
     return header, arrays
@@ -180,9 +187,12 @@ def load_checkpoint(path) -> tuple[SegModel, dict]:
                 raise CheckpointError(f"checkpoint missing entry {name}.{suffix}")
         rm = arrays[f"{name}.running_mean"]
         rv = arrays[f"{name}.running_var"]
+        nb = arrays[f"{name}.num_batches"]
         if rm.shape != bn.running_mean.shape or rv.shape != bn.running_var.shape:
             raise CheckpointError(f"shape mismatch for running stats of {name!r}")
+        if nb.shape != (1,) or not np.isfinite(nb[0]):
+            raise CheckpointError(f"{name}.num_batches must be one finite number")
         bn.running_mean = rm.astype(np.float32)
         bn.running_var = rv.astype(np.float32)
-        bn.num_batches = int(arrays[f"{name}.num_batches"][0])
+        bn.num_batches = int(nb[0])
     return model, header

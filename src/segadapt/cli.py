@@ -86,12 +86,10 @@ def cmd_gen_data(args) -> int:
     cfg = _load_config(args)
     if args.benchmark:
         cfg.data.benchmark = args.benchmark  # manifest snapshots the effective name
+        check_bounds(cfg.data, "data")
     out = _out_dir(args)
-    try:
-        domains = generate_benchmark(cfg.data.benchmark, cfg.data.n_cases, args.seed,
-                                     size=cfg.data.image_size)
-    except ValueError as e:
-        raise DatasetError(str(e)) from e
+    domains = generate_benchmark(cfg.data.benchmark, cfg.data.n_cases, args.seed,
+                                 size=cfg.data.image_size)
     outputs = []
     for domain in DOMAINS:
         for split in SPLITS:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .model import MAX_HEADS, ArchConfig
+from .synthdata import BENCHMARKS, SPLIT_RATIOS, split_counts
 
 
 class ConfigError(Exception):
@@ -116,6 +117,9 @@ _SIZE_STEP = 2 ** ArchConfig().levels  # each encoder level halves the image
 # section -> key -> (predicate, requirement); every predicate is False for nan
 _BOUNDS = {
     "data": {
+        "benchmark": (lambda v: v in BENCHMARKS, f"one of {sorted(BENCHMARKS)}"),
+        "n_cases": (lambda v: min(split_counts(v)) >= 1,
+                    f"at least one case in each split of {SPLIT_RATIOS}, i.e. >= 10"),
         "image_size": (lambda v: v >= 32 and v % _SIZE_STEP == 0,
                        f"a multiple of {_SIZE_STEP} and >= 32"),
     },

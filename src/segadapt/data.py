@@ -132,7 +132,10 @@ def load_dataset(path) -> LabeledSet:
             raise DatasetError("truncated dataset file")
         ln = struct.unpack("<H", blob[pos : pos + 2])[0]
         pos += 2
-        case_ids.append(blob[pos : pos + ln].decode("utf-8"))
+        try:
+            case_ids.append(blob[pos : pos + ln].decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise DatasetError(f"case id is not UTF-8: {e}") from e
         pos += ln
     need = n * 4 + n * c * h * w * 4 + n * h * w
     if pos + need != len(blob):

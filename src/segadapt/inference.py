@@ -24,8 +24,8 @@ def _predict_probs(model: SegModel, images: np.ndarray, head: int,
 def _labels_from(mean_prob: np.ndarray, num_classes: int, cleanup: bool) -> np.ndarray:
     labels = mean_prob.argmax(axis=1).astype(np.uint8)
     if cleanup:
-        labels = np.stack([cleanup_label_map(l, num_classes) for l in labels])
-    return labels.astype(np.uint8)
+        labels = cleanup_label_map(labels, num_classes)
+    return labels
 
 
 def infer_single(model: SegModel, images: np.ndarray, head: int = 0,

@@ -29,6 +29,8 @@ class ArchConfig:
     dropout_rate: float = 0.5
 
     def __post_init__(self):
+        if self.in_channels < 1 or self.base_channels < 1:
+            raise ValueError("in_channels and base_channels must be >= 1")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
         if self.num_classes < 2:

@@ -3,8 +3,13 @@
 Pipeline per image: average the heads' probability maps, threshold the
 winning-class probability to get a binary reliability map, argmax to a label
 map (ties to the lowest class index), then optionally keep only the largest
-4-connected component of each foreground class. Reliability always comes
-from the raw mean, before any cleanup.
+4-connected component of each foreground class in each slice. Reliability
+always comes from the raw mean, before any cleanup.
+
+Component labeling is run-based and takes a whole ``[..., H, W]`` stack in
+one call: horizontal runs of equal labels are found with one cumsum, runs
+touching vertically within a slice are joined by vectorised min-label
+hooking, and components are sized by their run lengths.
 """
 
 from __future__ import annotations
@@ -49,62 +54,103 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected component labeling by iterative minimum-label propagation.
+def _components(values: np.ndarray):
+    """Run-based 4-connected labeling of a ``[..., H, W]`` map.
 
-    Each mask pixel starts with its row-major index and repeatedly takes the
-    minimum over itself and its 4-neighbors until a fixpoint; pixels then
-    share a value iff they share a component. Returns (labels, count) with
-    compact labels 1..count ordered by each component's first row-major
-    pixel, 0 for background.
+    Nonzero pixels are foreground; 4-neighbors join when their values are
+    equal, and components never cross slices. Horizontal runs are numbered by
+    one cumsum over run starts; runs touching vertically are joined by
+    min-label hooking with pointer jumping until a fixpoint (after He, Chao
+    & Suzuki 2008, "A run-based two-scan labeling algorithm"). Returns
+    ``(fg, comp, first, size)``: the foreground mask; the component of each
+    foreground pixel, in row-major order; and per component, the flat index
+    of its first row-major pixel and its pixel count. Components are numbered
+    0..count-1 by first pixel.
+    """
+    values = np.asarray(values)
+    h, w = values.shape[-2:]
+    n = int(np.prod(values.shape[:-2]))
+    # a zero column in front of every row keeps runs from wrapping
+    padded = np.zeros((n, h, w + 1), dtype=values.dtype)
+    padded[..., 1:] = values.reshape(n, h, w)
+    flat = padded.ravel()
+    fg = flat != 0
+    change = np.append(flat[1:] != flat[:-1], True)  # pixel i+1 differs from i
+    start = fg.copy()
+    start[1:] &= change[:-1]
+    starts = np.flatnonzero(start)
+    lengths = np.flatnonzero(fg & change) - starts + 1
+    run = (np.cumsum(start) - 1).reshape(padded.shape)  # run of each fg pixel
+    # vertical edges join equal foreground pixels in adjacent rows of a slice;
+    # a run pair touches along one column interval, so keep its first column
+    start = start.reshape(padded.shape)
+    touch = (padded[:, :-1] != 0) & (padded[:, :-1] == padded[:, 1:])
+    first_col = touch.copy()
+    first_col[..., 1:] &= ~touch[..., :-1] | start[:, :-1, 1:] | start[:, 1:, 1:]
+    a, b = run[:, :-1][first_col], run[:, 1:][first_col]
+    root = np.arange(len(starts))
+    while True:
+        ra, rb = root[a], root[b]
+        differ = ra != rb
+        if not differ.any():
+            break
+        # hook the larger root of every unjoined edge onto the smaller one
+        a, b, ra, rb = a[differ], b[differ], ra[differ], rb[differ]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:  # pointer jumping until every run points at its root
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+    is_root = root == np.arange(len(starts))
+    comp_of_run = (np.cumsum(is_root) - 1)[root]
+    size = np.bincount(comp_of_run, weights=lengths, minlength=int(is_root.sum()))
+    first = starts[is_root]
+    first -= first // (w + 1) + 1  # padded flat index -> flat index into values
+    return (fg.reshape(padded.shape)[..., 1:].reshape(values.shape),
+            comp_of_run[run.ravel()[fg]], first, size.astype(np.int64))
+
+
+def label_components(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected component labeling of a ``[..., H, W]`` mask, run-based.
+
+    Components never cross slices. Returns (labels, count) with compact
+    labels 1..count ordered by each component's first row-major pixel, 0 for
+    background.
     """
     mask = np.asarray(mask).astype(bool)
-    if mask.ndim != 2:
-        raise ValueError("component labeling needs a 2-D mask")
-    h, w = mask.shape
-    if not mask.any():
-        return np.zeros((h, w), dtype=np.int32), 0
-    inf = np.int32(h * w)
-    idx = np.arange(h * w, dtype=np.int32).reshape(h, w)
-    lab = np.where(mask, idx, inf)
-    while True:
-        nb = lab.copy()
-        np.minimum(nb[1:, :], lab[:-1, :], out=nb[1:, :])
-        np.minimum(nb[:-1, :], lab[1:, :], out=nb[:-1, :])
-        np.minimum(nb[:, 1:], lab[:, :-1], out=nb[:, 1:])
-        np.minimum(nb[:, :-1], lab[:, 1:], out=nb[:, :-1])
-        nb[~mask] = inf
-        if np.array_equal(nb, lab):
-            break
-        lab = nb
-    roots = np.unique(lab[mask])
-    labels = np.zeros((h, w), dtype=np.int32)
-    labels[mask] = np.searchsorted(roots, lab[mask]).astype(np.int32) + 1
-    return labels, len(roots)
-
-
-def largest_component_mask(mask: np.ndarray) -> np.ndarray:
-    """Largest 4-connected component; size ties keep the component holding
-    the smallest row-major pixel index (the lowest compact label, since
-    labels are ordered by first pixel). Empty mask passes through."""
-    labels, count = label_components(mask)
-    if count == 0:
-        return np.zeros(np.asarray(mask).shape, dtype=bool)
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)[1:]
-    keep = int(np.flatnonzero(sizes == sizes.max())[0]) + 1
-    return labels == keep
+    if mask.ndim < 2:
+        raise ValueError("component labeling needs a [..., H, W] mask")
+    fg, comp, first, _ = _components(mask)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[fg] = comp + 1
+    return labels, len(first)
 
 
 def cleanup_label_map(label_map: np.ndarray, num_classes: int) -> np.ndarray:
-    """Keep the largest component per foreground class; removed pixels -> 0."""
+    """Keep the largest 4-connected component of each foreground class in
+    every slice of a ``[..., H, W]`` label map; removed pixels -> 0.
+
+    One run-based labeling pass covers the whole stack. Size ties keep the
+    component holding the smallest row-major pixel. Values outside
+    1..num_classes-1 pass through untouched.
+    """
     label_map = np.asarray(label_map)
+    if label_map.ndim < 2:
+        raise ValueError("cleanup needs a [..., H, W] label map")
+    classes = np.where((label_map >= 1) & (label_map < num_classes), label_map, 0)
+    fg, comp, first, size = _components(classes)
+    # group = (slice, class); the winner is the first in (-size, first) order
+    h, w = label_map.shape[-2:]
+    group = first // (h * w) * num_classes + classes.ravel()[first]
+    order = np.lexsort((first, -size, group))
+    _, winner = np.unique(group[order], return_index=True)
+    keep = np.zeros(len(first), dtype=bool)
+    keep[order[winner]] = True
+    drop = np.zeros(label_map.shape, dtype=bool)
+    drop[fg] = ~keep[comp]
     out = label_map.copy()
-    for c in range(1, num_classes):
-        mask = label_map == c
-        if not mask.any():
-            continue
-        keep = largest_component_mask(mask)
-        out[mask & ~keep] = 0
+    out[drop] = 0
     return out
 
 
@@ -135,15 +181,15 @@ def make_pseudo_label(mean_prob: np.ndarray, tau: float | None, cleanup: bool = 
     if mean_prob.ndim != 4:
         raise ValueError(f"expected [B,C,H,W] mean prediction, got shape {mean_prob.shape}")
     b, c = mean_prob.shape[:2]
+    labels = mean_prob.argmax(axis=1)
+    if cleanup:
+        labels = cleanup_label_map(labels, c)
     onehots = np.zeros_like(mean_prob)
     rel = np.zeros((b,) + mean_prob.shape[2:], dtype=np.float32)
     for i in range(b):
         check_prob_map(mean_prob[i])
         rel[i] = 1.0 if tau is None else reliability_map(mean_prob[i], tau)
-        lab = mean_prob[i].argmax(axis=0)
-        if cleanup:
-            lab = cleanup_label_map(lab, c)
-        onehots[i] = one_hot(lab, c)
+        onehots[i] = one_hot(labels[i], c)
     return PseudoLabelBundle(onehots, rel, mean_prob, step=step)
 
 

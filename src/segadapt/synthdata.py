@@ -159,14 +159,22 @@ def shift_strength(a: DomainSpec, b: DomainSpec) -> float:
     return total
 
 
-def generate_domain(domain: DomainSpec, n_cases: int, ratios=(0.7, 0.1, 0.2),
+SPLIT_RATIOS = (0.7, 0.1, 0.2)
+
+
+def split_counts(n_cases: int, ratios=SPLIT_RATIOS) -> tuple[int, int, int]:
+    """Train/val/test case counts: floors for train and val, the rest test."""
+    n_train = int(math.floor(ratios[0] * n_cases))
+    n_val = int(math.floor(ratios[1] * n_cases))
+    return n_train, n_val, n_cases - n_train - n_val
+
+
+def generate_domain(domain: DomainSpec, n_cases: int, ratios=SPLIT_RATIOS,
                     seed: int = 0, size: int = 64) -> dict[str, LabeledSet]:
     """Deterministic train/val/test LabeledSets for one domain."""
     if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError("ratios must be three numbers summing to 1")
-    n_train = int(math.floor(ratios[0] * n_cases))
-    n_val = int(math.floor(ratios[1] * n_cases))
-    n_test = n_cases - n_train - n_val
+    n_train, n_val, n_test = split_counts(n_cases, ratios)
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(f"n_cases={n_cases} too small for split {ratios}")
     rng = named_stream(seed, f"data.{domain.name}")
@@ -201,7 +209,7 @@ BENCHMARKS = {
 
 
 def generate_benchmark(name: str, n_cases: int, seed: int, size: int = 64,
-                       ratios=(0.7, 0.1, 0.2)) -> dict[str, dict[str, LabeledSet]]:
+                       ratios=SPLIT_RATIOS) -> dict[str, dict[str, LabeledSet]]:
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
     src, tgt = BENCHMARKS[name]

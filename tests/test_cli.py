@@ -91,10 +91,13 @@ class TestGenData:
                         + 4 * n + 4 * n * c * h * w + n * h * w)
             assert path.stat().st_size == expected, name
 
-    def test_unknown_benchmark_exits_3(self, ws, capsys, tmp_path):
-        rc = cli.main(["gen-data", "--out", str(tmp_path / "x"), "--benchmark", "nope"])
-        assert rc == 3
-        assert "nope" in capsys.readouterr().err
+    def test_unknown_benchmark_flag_exits_2_naming_key(self, ws, capsys, tmp_path):
+        out = tmp_path / "x"
+        rc = cli.main(["gen-data", "--out", str(out), "--benchmark", "nope"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "[data] benchmark" in err and "nope" in err
+        assert not out.exists()
 
     def test_benchmark_flag_lands_in_manifest(self, ws, tmp_path):
         out = tmp_path / "named"
@@ -175,6 +178,8 @@ class TestConfigErrors:
         ("pretrain", "decay_every", "0"),
         ("data", "image_size", "0"), ("data", "image_size", "8"),
         ("data", "image_size", "30"),
+        ("data", "n_cases", "9"), ("data", "n_cases", "0"), ("data", "n_cases", "-1"),
+        ("data", "benchmark", "nope"),
     ])
     def test_out_of_range_pretrain_or_data_value_exits_2_naming_key(
             self, ws, tmp_path, capsys, section, key, value):
@@ -184,7 +189,8 @@ class TestConfigErrors:
             bad.write_text(f"[pretrain]\nepochs = 1\n{key} = {value}\n")
             argv = ["pretrain", "--data", str(ws.data)]
         else:
-            bad.write_text(f"[data]\nn_cases = 10\n{key} = {value}\n")
+            small = "" if key == "n_cases" else "n_cases = 10\n"
+            bad.write_text(f"[data]\n{small}{key} = {value}\n")
             argv = ["gen-data"]
         assert cli.main(argv + ["--out", str(out), "--config", str(bad)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
@@ -481,6 +487,8 @@ class TestLoaderErrors:
         pytest.param({"levels": 0}, id="levels-0"),
         pytest.param({"num_heads": 0}, id="heads-0"),
         pytest.param({"num_heads": 50}, id="heads-50"),
+        pytest.param({"base_channels": 0}, id="base-channels-0"),
+        pytest.param({"in_channels": 0}, id="in-channels-0"),
     ])
     def test_bad_checkpoint_header_exits_3(self, ws, tmp_path, capsys, header):
         if isinstance(header, dict):

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segadapt.pseudolabel import (
     PseudoLabelBundle,
     cleanup_label_map,
     ensemble_mean,
     label_components,
-    largest_component_mask,
     make_pseudo_label,
     one_hot,
     reliability_map,
@@ -141,8 +142,70 @@ class TestComponents:
                 got = {tuple(p) for p in np.argwhere(labels == i)}
                 assert got == comp
 
-    def test_largest_component_mask_empty_input(self):
-        assert largest_component_mask(np.zeros((4, 4), bool)).sum() == 0
+    def test_cleanup_passes_empty_and_full_slices_through(self):
+        stack = np.zeros((3, 4, 5), np.int64)
+        stack[1] = 2
+        assert np.array_equal(cleanup_label_map(stack, 3), stack)
+        labels, count = label_components(stack == 0)
+        assert count == 2 and np.all(labels[1] == 0)
+
+
+def serpentine(n=64):
+    """One 4-connected path folded over the whole frame: every other row is
+    a run, joined at alternating ends."""
+    mask = np.zeros((n, n), bool)
+    mask[::2, 1:-1] = True
+    mask[1::4, -2] = True
+    mask[3::4, 1] = True
+    return mask
+
+
+def cross_slice_pair():
+    """Class 1 on the bottom row of slice 0 and the top row of slice 1."""
+    stack = np.zeros((2, 3, 4), np.int64)
+    stack[0, -1] = 1
+    stack[1, 0] = 1
+    return stack
+
+
+@st.composite
+def label_stacks(draw):
+    n, h, w = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    classes = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    stack = np.where(rng.random((n, h, w)) < density,
+                     rng.integers(1, classes, size=(n, h, w)), 0)
+    for i in range(n):  # some slices empty, some a single full component
+        kind = draw(st.sampled_from(["random", "random", "empty", "full"]))
+        if kind != "random":
+            stack[i] = 0 if kind == "empty" else classes - 1
+    return stack, classes
+
+
+class TestStackedLabeling:
+    @settings(max_examples=150, deadline=None)
+    @given(case=label_stacks())
+    @example(case=(serpentine()[None].astype(np.int64), 2))
+    @example(case=(cross_slice_pair(), 2))
+    def test_stacked_cleanup_equals_per_slice_bfs(self, case):
+        stack, classes = case
+        want = np.stack([cleanup_loop(s, classes) for s in stack])
+        assert np.array_equal(cleanup_label_map(stack, classes), want)
+
+    def test_serpentine_is_one_component(self):
+        mask = serpentine()
+        labels, count = label_components(mask)
+        oracle = flood_fill_components(mask)
+        assert count == len(oracle) == 1
+        assert {tuple(p) for p in np.argwhere(labels == 1)} == oracle[0]
+
+    def test_components_never_cross_slices(self):
+        stack = cross_slice_pair()
+        labels, count = label_components(stack == 1)
+        assert count == 2
+        assert np.all(labels[0, -1] == 1) and np.all(labels[1, 0] == 2)
+        assert np.array_equal(cleanup_label_map(stack, 2), stack)
 
 
 class TestMakePseudoLabel:
