@@ -385,15 +385,18 @@ def maxpool2d(x) -> Tensor:
     B, C, H, W = x.data.shape
     if H % 2 or W % 2:
         raise ValueError(f"maxpool2d needs even spatial dims, got {H}x{W}")
-    win = x.data.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H // 2, W // 2, 4)
-    arg = win.argmax(axis=-1)
+    # np.maximum returns its second operand on a tie (+0.0 vs -0.0), so each
+    # pair passes the earlier window position second and the first one wins
+    cols = np.maximum(x.data[..., 1::2], x.data[..., 0::2])
+    out = np.maximum(cols[:, :, 1::2], cols[:, :, 0::2], order="C")
 
     def grads(g):
+        win = x.data.reshape(B, C, H // 2, 2, W // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H // 2, W // 2, 4)
         dwin = np.zeros_like(win)
-        np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
+        np.put_along_axis(dwin, win.argmax(axis=-1)[..., None], g[..., None], axis=-1)
         return (dwin.reshape(B, C, H // 2, W // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H, W),)
 
-    return _node(np.take_along_axis(win, arg[..., None], axis=-1)[..., 0], (x,), grads)
+    return _node(out, (x,), grads)
 
 
 def upsample_nearest2x(x) -> Tensor:

@@ -109,16 +109,20 @@ def _dataset(data_dir: Path, name: str) -> LabeledSet:
     return load_dataset(path)
 
 
+def _source_trainer(cfg: Config, num_classes: int, seed: int) -> SourceTrainer:
+    pc = cfg.pretrain
+    return SourceTrainer(num_classes=num_classes, epochs=pc.epochs, lr=pc.lr,
+                         lr_decay=pc.lr_decay, decay_every=pc.decay_every,
+                         batch=pc.batch, seed=seed)
+
+
 def cmd_pretrain(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
     out = _out_dir(args)
     train = _dataset(args.data, "source_train")
     val = _dataset(args.data, "source_val")
-    pc = cfg.pretrain
-    trainer = SourceTrainer(num_classes=train.num_classes, epochs=pc.epochs, lr=pc.lr,
-                            lr_decay=pc.lr_decay, decay_every=pc.decay_every,
-                            batch=pc.batch, seed=args.seed)
+    trainer = _source_trainer(cfg, train.num_classes, args.seed)
     trainer.fit(train, val)
     ckpt = out / "checkpoint.uplc"
     save_checkpoint(ckpt, trainer.model_, epoch=trainer.best_epoch_,
@@ -174,10 +178,7 @@ def cmd_adapt(args) -> int:
     val = _dataset(args.data, "target_val")
 
     if args.method == "target-only":
-        pc = cfg.pretrain
-        est = SourceTrainer(num_classes=train.num_classes, epochs=pc.epochs, lr=pc.lr,
-                            lr_decay=pc.lr_decay, decay_every=pc.decay_every,
-                            batch=pc.batch, seed=args.seed)
+        est = _source_trainer(cfg, train.num_classes, args.seed)
         fit_set = train
     else:
         model, _ = load_checkpoint(args.checkpoint)
@@ -193,6 +194,8 @@ def cmd_adapt(args) -> int:
         else:  # source-free: target labels stay unseen
             fit_set = train.drop_labels()
 
+    if args.dump_maps:  # a file in the way fails here, before any training
+        Path(args.dump_maps).mkdir(parents=True, exist_ok=True)
     out = _out_dir(args)  # only once every check has passed
     est.fit(fit_set, val)
     ckpt = out / "adapted.uplc"
@@ -217,17 +220,14 @@ def cmd_adapt(args) -> int:
 def _dump_maps(dump_dir: Path, est, train: LabeledSet, cfg: Config) -> list:
     """PGM snapshots of the fitted model's pseudo labels and reliability on
     the first training case."""
-    dump_dir.mkdir(parents=True, exist_ok=True)
     model = est.model_
     imgs = train.images[train.case_slices(0)]
-    rng = SeedBundle(getattr(est, "seed", 0)).stream("dump")
     if model.num_heads > 1:
-        labels, mean_prob, _ = infer_ensemble(model, imgs, rng, tau=cfg.adapt.tau,
-                                              cleanup=cfg.adapt.cleanup)
-        rel = (mean_prob.max(axis=1) > cfg.adapt.tau).astype(np.float32)
+        rng = SeedBundle(est.seed).stream("dump")
+        labels, probs = infer_ensemble(model, imgs, rng, cleanup=cfg.adapt.cleanup)
     else:
-        labels, probs = infer_single(model, imgs)
-        rel = (probs.max(axis=1) > cfg.adapt.tau).astype(np.float32)
+        labels, probs = infer_single(model, imgs, cleanup=cfg.adapt.cleanup)
+    rel = probs.max(axis=1) > cfg.adapt.tau
     outputs = []
     for i in range(len(imgs)):
         lp = dump_dir / f"pseudo_{i:03d}.pgm"
@@ -246,8 +246,7 @@ def _eval_results(model, ds: LabeledSet, mode: str, cfg: Config, seed: int,
     results = []
     for cid, imgs, labs in ds.cases():
         if mode == "ensemble":
-            pred, _, _ = infer_ensemble(model, imgs, rng, tau=cfg.adapt.tau,
-                                        cleanup=cfg.adapt.cleanup)
+            pred, _ = infer_ensemble(model, imgs, rng, cleanup=cfg.adapt.cleanup)
         else:
             pred, _ = infer_single(model, imgs, cleanup=cfg.adapt.cleanup)
         for c in range(1, model.num_classes):
@@ -323,6 +322,8 @@ def cmd_eval(args) -> int:
         raise DatasetError(
             f"class count mismatch: checkpoint has {model.num_classes} classes, "
             f"dataset {args.data} has labels up to class {ds.num_classes - 1}")
+    # read the baseline before evaluating, so a bad one leaves no results behind
+    baseline = _read_results_csv(args.baseline) if args.baseline else None
     name = args.name or args.mode
     results = _eval_results(model, ds, args.mode, cfg, args.seed, name)
     out_csv = Path(args.out)
@@ -332,7 +333,6 @@ def cmd_eval(args) -> int:
     # carry the same 6-decimal quantization (a file against itself is exactly
     # zero-difference, which the t-test rejects as degenerate)
     results = _read_results_csv(out_csv)
-    baseline = _read_results_csv(args.baseline) if args.baseline else None
     summary_csv = out_csv.with_name(out_csv.stem + "_summary.csv")
     _write_summary_csv(summary_csv, results, baseline)
     inputs = {"checkpoint": args.checkpoint, "data": args.data}
@@ -376,20 +376,16 @@ def cmd_ablate(args) -> int:
     cfg = _load_config(args)
     combos = _parse_grid(args.grid)
     model, _ = load_checkpoint(args.checkpoint)
-    ac = cfg.adapt
-    for combo in combos:
-        check_bounds(replace(ac, **combo), "adapt", "grid")
-        check_tau(combo.get("tau", ac.tau), model.num_classes, "grid")
+    grid = [replace(cfg, adapt=replace(cfg.adapt, **combo)) for combo in combos]
+    for point in grid:
+        check_bounds(point.adapt, "adapt", "grid")
+        check_tau(point.adapt.tau, model.num_classes, "grid")
     train = _dataset(args.data, "target_train")
     val = _dataset(args.data, "target_val")
     out = _out_dir(args)
     rows = []
-    for combo in combos:
-        est = MultiHeadAdapter(model=model, heads=combo.get("heads", ac.heads),
-                               tau=combo.get("tau", ac.tau),
-                               entropy_weight=combo.get("entropy_weight", ac.entropy_weight),
-                               lr=ac.lr, epochs=ac.epochs, batch=ac.batch,
-                               cleanup=ac.cleanup, seed=args.seed)
+    for combo, point in zip(combos, grid):
+        est = _build_adapter("upl", model, point, args.seed, set())
         est.fit(train.drop_labels(), val)
         rows.append({**combo, "val_dice": est.best_val_dice_, "best_epoch": est.best_epoch_})
         print(f"{combo} -> val dice {est.best_val_dice_:.4f}")

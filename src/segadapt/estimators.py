@@ -192,7 +192,7 @@ class SegmentationEstimator:
         opt = Adam(work.parameter_groups("all"), lr_fn(0) if self.epochs else 1e-4)
 
         def step_fn(idx, epoch, step):
-            y = np.stack([one_hot(lab, work.num_classes) for lab in train.labels[idx]])
+            y = one_hot(train.labels[idx], work.num_classes)
             with Tape() as tape:
                 loss = dice_loss(work.forward_head(train.images[idx], 0, train=True), y)
                 _check_finite(loss.item(), stage=stage, epoch=epoch, step=step, lr=opt.lr)
@@ -341,15 +341,13 @@ class MultiHeadAdapter(SegmentationEstimator):
                 tape.backward(loss)
             return terms
 
-        predict_fn = lambda imgs: infer_ensemble(work, imgs, eval_rng, tau=self.tau,
-                                                 cleanup=self.cleanup)[0]
+        predict_fn = lambda imgs: infer_ensemble(work, imgs, eval_rng, cleanup=self.cleanup)[0]
         opt = Adam(work.parameter_groups("all"), self.lr)
         return self._fit_epochs(work, opt, train, val, step_fn, predict_fn=predict_fn)
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         rng = SeedBundle(self.seed).stream("predict")
-        labels, _, _ = infer_ensemble(self.fitted_model, images, rng, tau=self.tau,
-                                      cleanup=self.cleanup)
+        labels, _ = infer_ensemble(self.fitted_model, images, rng, cleanup=self.cleanup)
         return labels
 
 

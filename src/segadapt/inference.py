@@ -36,20 +36,14 @@ def infer_single(model: SegModel, images: np.ndarray, head: int = 0,
 
 
 def infer_ensemble(model: SegModel, images: np.ndarray, rng: np.random.Generator,
-                   tau: float = 0.95, cleanup: bool = True,
-                   transforms: list[SpatialTransform] | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, float]:
+                   cleanup: bool = True, transforms: list[SpatialTransform] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Each head predicts under one sampled transform (inverse-mapped); the
-    mean map is argmaxed and cleaned. Returns (labels, mean_prob, fraction of
-    pixels whose winning mean probability strictly exceeds tau)."""
+    mean map is argmaxed and cleaned. Returns (labels, mean_prob)."""
     if transforms is None:
         transforms = [sample_transform(rng) for _ in range(model.num_heads)]
     if len(transforms) != model.num_heads:
         raise ValueError(f"need one transform per head ({model.num_heads}), got {len(transforms)}")
-    per_head = [_predict_probs(model, images, k, t) for k, t in enumerate(transforms)]
-    mean_prob = np.stack([
-        ensemble_mean([hp[i] for hp in per_head]) for i in range(len(images))
-    ])
-    labels = _labels_from(mean_prob, model.num_classes, cleanup)
-    reliable = float((mean_prob.max(axis=1) > tau).mean())
-    return labels, mean_prob, reliable
+    mean_prob = ensemble_mean([_predict_probs(model, images, k, t)
+                               for k, t in enumerate(transforms)])
+    return _labels_from(mean_prob, model.num_classes, cleanup), mean_prob

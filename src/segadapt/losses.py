@@ -48,8 +48,7 @@ def _prep_targets(p: Tensor, y, m) -> tuple[Tensor, Tensor]:
         y = y[None]
     if y.shape != p.data.shape:
         raise ValueError(f"target shape {y.shape} does not match prediction {p.data.shape}")
-    for sample in y:
-        check_one_hot(sample)
+    check_one_hot(y)
     if m is None:
         m = np.ones((y.shape[0],) + y.shape[2:], dtype=np.float32)
     else:
@@ -58,8 +57,7 @@ def _prep_targets(p: Tensor, y, m) -> tuple[Tensor, Tensor]:
             m = m[None]
         if m.shape != (y.shape[0],) + y.shape[2:]:
             raise ValueError(f"mask shape {m.shape} does not match targets")
-        for sample in m:
-            check_binary_mask(sample)
+        check_binary_mask(m)
     return Tensor(y), Tensor(m[:, None])
 
 

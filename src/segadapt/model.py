@@ -245,10 +245,6 @@ class SegModel:
             return [t for n, t in named.items() if n.endswith(".gamma") or n.endswith(".beta")]
         raise ValueError(f"unknown parameter group selector: {selector!r}")
 
-    def zero_grad(self):
-        for t in self.named_parameters().values():
-            t.grad = None
-
     # -- head duplication --------------------------------------------------
 
     def grow(self, k: int) -> "SegModel":

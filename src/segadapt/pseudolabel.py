@@ -1,10 +1,11 @@
 """Pseudo labels and reliability maps from multi-head mean predictions.
 
-Pipeline per image: average the heads' probability maps, threshold the
-winning-class probability to get a binary reliability map, argmax to a label
-map (ties to the lowest class index), then optionally keep only the largest
-4-connected component of each foreground class in each slice. Reliability
-always comes from the raw mean, before any cleanup.
+Pipeline, over a whole batch in one pass: average the heads' probability
+maps, threshold the winning-class probability to get a binary reliability
+map, argmax to a label map (ties to the lowest class index), then optionally
+keep only the largest 4-connected component of each foreground class in each
+slice. Reliability always comes from the raw mean, before any cleanup. Maps
+are ``[..., C, H, W]`` and labels ``[..., H, W]``, any leading axes.
 
 Component labeling is run-based and takes a whole ``[..., H, W]`` stack in
 one call: horizontal runs of equal labels are found with one cumsum, runs
@@ -22,36 +23,33 @@ from .validation import check_prob_map
 
 
 def ensemble_mean(head_probs: list[np.ndarray]) -> np.ndarray:
-    """Mean probability map over heads; inputs [C,H,W] each."""
+    """Mean probability map over heads; inputs [..., C, H, W] each, one shape."""
     if not head_probs:
         raise ValueError("ensemble_mean needs at least one head")
-    stack = np.stack([np.asarray(p, dtype=np.float32) for p in head_probs])
-    for p in stack:
-        check_prob_map(p)
-    if len({p.shape for p in head_probs}) != 1:
+    if len({np.shape(p) for p in head_probs}) != 1:
         raise ValueError("head probability maps disagree in shape")
+    stack = check_prob_map(np.stack([np.asarray(p, dtype=np.float32) for p in head_probs]))
     # accumulate in float64 so K identical maps average back to themselves
     return stack.mean(axis=0, dtype=np.float64).astype(np.float32)
 
 
 def reliability_map(mean_prob: np.ndarray, tau: float) -> np.ndarray:
-    """Binary map: 1 where the winning class probability strictly exceeds tau."""
+    """[..., C, H, W] -> [..., H, W] binary map: 1 where the winning class
+    probability strictly exceeds tau."""
     mean_prob = np.asarray(mean_prob)
-    c = mean_prob.shape[0]
+    c = mean_prob.shape[-3]
     if not 1.0 / c < tau < 1.0:
         raise ValueError(f"tau must lie in (1/C, 1) = ({1.0 / c:.4f}, 1), got {tau}")
-    return (mean_prob.max(axis=0) > tau).astype(np.float32)
+    return (mean_prob.max(axis=-3) > tau).astype(np.float32)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """[H,W] int labels -> [C,H,W] float32 one-hot."""
+    """[..., H, W] int labels -> [..., C, H, W] float32 one-hot."""
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError(f"labels out of range for {num_classes} classes")
-    out = np.zeros((num_classes,) + labels.shape, dtype=np.float32)
-    for c in range(num_classes):
-        out[c][labels == c] = 1.0
-    return out
+    classes = np.arange(num_classes).reshape(num_classes, 1, 1)
+    return (np.expand_dims(labels, -3) == classes).astype(np.float32)
 
 
 def _components(values: np.ndarray):
@@ -157,11 +155,10 @@ def cleanup_label_map(label_map: np.ndarray, num_classes: int) -> np.ndarray:
 @dataclass
 class PseudoLabelBundle:
     """Frozen supervision targets for one batch: one-hot labels, reliability
-    maps, the raw mean prediction, and the training step they belong to."""
+    maps, and the training step they belong to."""
 
     pseudo_onehot: np.ndarray  # [B,C,H,W] float32
     reliability: np.ndarray  # [B,H,W] float32 in {0,1}
-    mean_prob: np.ndarray  # [B,C,H,W] float32
     step: int = -1
 
     @property
@@ -180,17 +177,16 @@ def make_pseudo_label(mean_prob: np.ndarray, tau: float | None, cleanup: bool = 
     mean_prob = np.ascontiguousarray(mean_prob, dtype=np.float32)
     if mean_prob.ndim != 4:
         raise ValueError(f"expected [B,C,H,W] mean prediction, got shape {mean_prob.shape}")
-    b, c = mean_prob.shape[:2]
+    check_prob_map(mean_prob)
+    c = mean_prob.shape[1]
     labels = mean_prob.argmax(axis=1)
     if cleanup:
         labels = cleanup_label_map(labels, c)
-    onehots = np.zeros_like(mean_prob)
-    rel = np.zeros((b,) + mean_prob.shape[2:], dtype=np.float32)
-    for i in range(b):
-        check_prob_map(mean_prob[i])
-        rel[i] = 1.0 if tau is None else reliability_map(mean_prob[i], tau)
-        onehots[i] = one_hot(labels[i], c)
-    return PseudoLabelBundle(onehots, rel, mean_prob, step=step)
+    if tau is None:
+        rel = np.ones(labels.shape, dtype=np.float32)
+    else:
+        rel = reliability_map(mean_prob, tau)
+    return PseudoLabelBundle(one_hot(labels, c), rel, step=step)
 
 
 # ---------------------------------------------------------------------------

@@ -149,16 +149,6 @@ def normalize_slice(img: np.ndarray) -> np.ndarray:
     return (2.0 * (clipped - lo) / (hi - lo) - 1.0).astype(np.float32)
 
 
-def shift_strength(a: DomainSpec, b: DomainSpec) -> float:
-    """Symmetric scalar shift between the appearance parameters; zero iff the
-    numeric fields agree, strictly monotone in each component distance."""
-    total = float(np.abs(np.asarray(a.class_means) - np.asarray(b.class_means)).sum())
-    for f in ("texture_amp", "noise_sigma", "gamma", "bias_amp"):
-        total += abs(getattr(a, f) - getattr(b, f))
-    total += 1.0 if a.invert != b.invert else 0.0
-    return total
-
-
 SPLIT_RATIOS = (0.7, 0.1, 0.2)
 
 

@@ -400,7 +400,7 @@ class TestHeadGrowth:
             for k in range(4)
         )
 
-        labels_e, probs_e, _ = infer_ensemble(
+        labels_e, probs_e = infer_ensemble(
             grown, x, np.random.default_rng(10), transforms=[IDENTITY] * 4
         )
         labels_s, probs_s = infer_single(grown, x)

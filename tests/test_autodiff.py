@@ -411,6 +411,16 @@ class TestPoolingUpsampling:
         y = ad.maxpool2d(ad.Tensor(x)).data
         assert np.array_equal(y, maxpool2d_loop(x).astype(np.float32))
 
+    def test_maxpool_keeps_the_first_of_tied_signed_zeros(self):
+        # +0.0 == -0.0, so only the bytes show which window position won
+        rng = np.random.default_rng(75)
+        x = np.where(rng.random((2, 3, 8, 8)) < 0.5, np.float32(0.0), np.float32(-0.0))
+        channels_last = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for arr in (x, channels_last):
+            y = ad.maxpool2d(ad.Tensor(arr)).data
+            assert y.flags.c_contiguous
+            assert y.tobytes() == maxpool2d_loop(arr).tobytes()
+
     def test_maxpool_tie_routes_gradient_to_first_position(self):
         x = ad.Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
         with ad.Tape() as tape:

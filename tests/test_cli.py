@@ -19,6 +19,8 @@ from segadapt import cli
 from segadapt.checkpoint import load_checkpoint, read_entries, save_checkpoint
 from segadapt.config import default_config, parse_config
 from segadapt.data import LabeledSet, load_dataset, save_dataset
+from segadapt.inference import infer_single
+from segadapt.pseudolabel import cleanup_label_map
 
 MINI_CFG = """\
 [data]
@@ -331,15 +333,22 @@ class TestAdapt:
         assert {"epoch", "step", "loss"} <= set(dump)
         assert "nan_dump.json" in capsys.readouterr().err
 
-    def test_dump_maps_writes_pgm_pairs(self, ws, tmp_path):
+    @pytest.mark.parametrize("method,cfg_text", [
+        ("ptbn", MINI_CFG + "cleanup = false\n"),
+        ("upl", MINI_CFG.replace("epochs = 1\n", "epochs = 2\n")),
+    ], ids=["ptbn-no-cleanup", "upl-2-epochs"])
+    def test_dump_maps_writes_pgm_pairs(self, ws, tmp_path, method, cfg_text):
+        cfg = tmp_path / "dump.cfg"
+        cfg.write_text(cfg_text)
         out, maps = tmp_path / "o", tmp_path / "maps"
         rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
-                       "--config", str(ws.cfg), "--method", "ptbn",
+                       "--config", str(cfg), "--method", method,
                        "--checkpoint", str(ws.ckpt), "--dump-maps", str(maps)])
         assert rc == 0
         train = load_dataset(ws.data / "target_train.upld")
         n = len(train.case_slices(0))
         pgms = sorted(maps.iterdir())
+        # one pair per slice, written once from the fitted model
         assert [p.name for p in pgms] == (
             [f"pseudo_{i:03d}.pgm" for i in range(n)]
             + [f"reliability_{i:03d}.pgm" for i in range(n)])
@@ -347,6 +356,26 @@ class TestAdapt:
             assert p.read_bytes().startswith(b"P5\n")
         listed = set(read_manifest(out)["outputs"])
         assert {str(p) for p in pgms} <= listed
+        if method == "ptbn":  # [adapt] cleanup = false reaches the single-head dump
+            model, _ = load_checkpoint(out / "adapted.uplc")
+            raw, _ = infer_single(model, train.images[train.case_slices(0)], cleanup=False)
+            assert not np.array_equal(cleanup_label_map(raw, model.num_classes), raw)
+            scale = 255 // (model.num_classes - 1)
+            for i, lab in enumerate(raw):
+                pixels = (maps / f"pseudo_{i:03d}.pgm").read_bytes()[-lab.size:]
+                assert pixels == (lab * scale).astype(np.uint8).tobytes(), i
+
+    def test_dump_maps_onto_a_file_exits_3_before_training(self, ws, tmp_path, capsys):
+        blocker = tmp_path / "maps"
+        blocker.write_text("x")
+        out = tmp_path / "o"
+        rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
+                       "--config", str(ws.cfg), "--method", "upl",
+                       "--checkpoint", str(ws.ckpt), "--dump-maps", str(blocker)])
+        assert rc == 3
+        assert "data error" in capsys.readouterr().err
+        assert not out.exists()  # no adapted.uplc, no log, no manifest
+        assert blocker.read_text() == "x"
 
     def test_rerun_byte_identical_outputs(self, ws, runs):
         again = ws.root / "upl_again"
@@ -448,6 +477,16 @@ class TestEval:
                        "--baseline", str(junk)])
         assert rc == 3
         assert "not a results CSV" in capsys.readouterr().err
+
+    def test_missing_baseline_exits_3_before_evaluating(self, ws, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
+                       "--data", str(ws.data / "target_test.upld"),
+                       "--out", str(out), "--mode", "single",
+                       "--baseline", str(tmp_path / "missing.csv")])
+        assert rc == 3
+        assert "missing.csv" in capsys.readouterr().err
+        assert not out.exists() and not out.with_name("r_summary.csv").exists()
 
     def test_class_count_mismatch_exits_3(self, ws, tmp_path, capsys):
         ds = load_dataset(ws.data / "target_test.upld")

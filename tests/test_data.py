@@ -22,7 +22,6 @@ from segadapt.synthdata import (
     normalize_slice,
     render_slice,
     sample_case,
-    shift_strength,
 )
 from _oracles import flood_fill_components
 
@@ -81,27 +80,6 @@ class TestRendering:
         assert np.array_equal(a, b)
         c = render_slice(lab, dom, np.random.default_rng(8))
         assert not np.array_equal(a, c)
-
-
-class TestShiftStrength:
-    def test_zero_iff_identical_appearance(self):
-        a = small_domain("x")
-        b = small_domain("y")
-        assert shift_strength(a, b) == 0.0
-
-    def test_symmetric(self):
-        a, b = BENCHMARKS["syn-a2b"]
-        assert shift_strength(a, b) == shift_strength(b, a)
-        assert shift_strength(a, b) > 0
-
-    def test_monotone_in_each_component(self):
-        a = small_domain("base")
-        prev = 0.0
-        for sigma in (0.03, 0.06, 0.12):
-            cur = shift_strength(a, small_domain("s", noise_sigma=sigma))
-            assert cur > prev
-            prev = cur
-        assert shift_strength(a, small_domain("i", invert=True)) > shift_strength(a, a)
 
 
 class TestGenerate:

@@ -14,7 +14,7 @@ from segadapt.losses import (
     per_head_entropy,
     weighted_dice_loss,
 )
-from segadapt.pseudolabel import make_pseudo_label, one_hot
+from segadapt.pseudolabel import PseudoLabelBundle, make_pseudo_label, one_hot
 from _oracles import (
     finite_difference_check,
     mean_entropy_f64,
@@ -142,6 +142,30 @@ class TestWeightedDice:
         with pytest.raises(ValueError):
             weighted_dice_loss(p, y[:, :, :2], np.ones((1, 4, 4), np.float32))
 
+
+    @pytest.mark.parametrize("bad", [
+        "soft target in sample 2",
+        "two hot channels at one pixel of sample 1",
+        "half-valued mask pixel in sample 2",
+        "mask value 2 in sample 1",
+    ])
+    def test_rejects_a_bad_later_sample(self, bad):
+        # samples 0 (and 1) are valid, so a check of the first sample alone passes
+        p = rand_probs((3, 3, 4, 4), 13)
+        y = rand_onehot((3, 3, 4, 4), 14)
+        m = np.ones((3, 4, 4), np.float32)
+        if bad == "soft target in sample 2":
+            y[2] = 1.0 / 3.0
+        elif bad == "two hot channels at one pixel of sample 1":
+            y[1, :, 3, 3] = 1.0
+        elif bad == "half-valued mask pixel in sample 2":
+            m[2, 1, 2] = 0.5
+        else:
+            m[1, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            weighted_dice_loss(p, y, m)
+        with pytest.raises(ValueError):
+            multi_head_dice_loss([p], PseudoLabelBundle(y, m))
 
 class TestMultiHead:
     def make_bundle(self, shape=(1, 3, 6, 6), seed=20):

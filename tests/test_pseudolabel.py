@@ -259,6 +259,44 @@ class TestMakePseudoLabel:
         assert make_pseudo_label(mean, tau=0.5, step=17).step == 17
 
 
+@st.composite
+def head_batches(draw):
+    """K heads' [B,C,H,W] probability maps and a valid tau for C classes."""
+    k, b = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    c, h, w = draw(st.integers(2, 4)), draw(st.integers(1, 19)), draw(st.integers(1, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # coarse logits make argmax ties and confident pixels common
+    logits = rng.integers(-3, 4, size=(k, b, c, h, w)) * draw(st.sampled_from([0.5, 2.0, 8.0]))
+    e = np.exp(logits - logits.max(axis=2, keepdims=True))
+    maps = list((e / e.sum(axis=2, keepdims=True)).astype(np.float32))
+    tau = 1.0 / c + draw(st.floats(0.01, 0.99)) * (1.0 - 1.0 / c)
+    return maps, tau
+
+
+def same_bytes(batched, per_slice):
+    want = np.stack(per_slice)
+    return (batched.dtype == want.dtype and batched.shape == want.shape
+            and batched.tobytes() == want.tobytes())
+
+
+class TestBatchedEqualsPerSlice:
+    @settings(max_examples=100, deadline=None)
+    @given(case=head_batches(), cleanup=st.booleans())
+    def test_batched_calls_equal_stacked_per_slice_calls(self, case, cleanup):
+        maps, tau = case
+        b, c = maps[0].shape[:2]
+        mean = ensemble_mean(maps)
+        assert same_bytes(mean, [ensemble_mean([m[i] for m in maps]) for i in range(b)])
+        assert same_bytes(reliability_map(mean, tau),
+                          [reliability_map(mean[i], tau) for i in range(b)])
+        labels = mean.argmax(axis=1)
+        assert same_bytes(one_hot(labels, c), [one_hot(lab, c) for lab in labels])
+        for t in (tau, None):
+            whole = make_pseudo_label(mean, t, cleanup=cleanup)
+            parts = [make_pseudo_label(mean[i:i + 1], t, cleanup=cleanup) for i in range(b)]
+            assert same_bytes(whole.pseudo_onehot, [p.pseudo_onehot[0] for p in parts])
+            assert same_bytes(whole.reliability, [p.reliability[0] for p in parts])
+
 class TestOneHot:
     def test_round_trips_with_argmax(self):
         rng = np.random.default_rng(21)
