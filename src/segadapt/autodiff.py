@@ -54,9 +54,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -278,18 +275,13 @@ def rot90k(a, k: int) -> Tensor:
 
 
 def softmax_channel(a) -> Tensor:
-    """Stable softmax over the channel axis (axis 1 for 4-D, axis 0 for 3-D)."""
+    """Stable softmax over the channel axis of a [B,C,H,W] input."""
     a = as_tensor(a)
-    if a.data.ndim == 4:
-        axis = 1
-    elif a.data.ndim == 3:
-        axis = 0
-    else:
-        raise ValueError(f"softmax_channel expects 3-D or 4-D input, got ndim={a.data.ndim}")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    _check_4d(a.data, "softmax_channel input")
+    shifted = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=axis, keepdims=True)
-    return _node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=axis, keepdims=True)),))
+    p = e / e.sum(axis=1, keepdims=True)
+    return _node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=1, keepdims=True)),))
 
 
 def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -411,9 +403,11 @@ def upsample_nearest2x(x) -> Tensor:
 class BatchNorm2d:
     """Per-channel batch normalization state (eps 1e-5, momentum 0.1).
 
-    Train mode normalizes with population batch statistics and, unless
-    ``update_running`` is off, blends them into the running buffers. Eval mode
-    uses the running buffers and refuses to run before any batch has been seen.
+    Train mode normalizes with population batch statistics alone, then blends
+    them into the running buffers: ``running_mean`` and ``running_var`` are
+    rebound to new arrays, never written in place, and ``num_batches`` counts
+    the blends. Eval mode uses the running buffers and refuses to run before
+    any batch has been seen.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -426,7 +420,7 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=DTYPE)
         self.num_batches = 0
 
-    def forward(self, x, train: bool, update_running: bool = True) -> Tensor:
+    def forward(self, x, train: bool) -> Tensor:
         x = as_tensor(x)
         _check_4d(x.data, "batchnorm input")
         if x.data.shape[1] != self.channels:
@@ -437,11 +431,10 @@ class BatchNorm2d:
             mean = x.data.mean(axis=(0, 2, 3), dtype=np.float32)
             diff = x.data - mean.reshape(c)
             var = np.mean(diff * diff, axis=(0, 2, 3), dtype=np.float32)
-            if update_running:
-                m = DTYPE(self.momentum)
-                self.running_mean = (1 - m) * self.running_mean + m * mean
-                self.running_var = (1 - m) * self.running_var + m * var
-                self.num_batches += 1
+            m = DTYPE(self.momentum)
+            self.running_mean = (1 - m) * self.running_mean + m * mean
+            self.running_var = (1 - m) * self.running_var + m * var
+            self.num_batches += 1
         else:
             if self.num_batches == 0:
                 raise RuntimeError("batchnorm eval mode before any running statistics exist")

@@ -30,6 +30,7 @@ from .estimators import (FineTuner, MultiHeadAdapter, NumericFailure, PtbnAdapte
 from .inference import infer_ensemble, infer_single
 from .metrics import (CaseResult, DegenerateStatsError, aggregate, assd,
                       dice_coefficient, paired_t_test)
+from .model import ArchConfig
 from .pseudolabel import export_label_pgm, export_reliability_pgm
 from .rng import SeedBundle
 from .synthdata import generate_benchmark
@@ -102,11 +103,24 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _dataset(data_dir: Path, name: str) -> LabeledSet:
-    path = Path(data_dir) / f"{name}.upld"
+def _dataset(path, arch: ArchConfig, labels: bool = False) -> LabeledSet:
+    """The dataset at ``path``, which a model of ``arch`` must be able to take:
+    its slice shape, and with ``labels`` also its label classes. Any misfit is
+    a DatasetError naming the file."""
+    path = Path(path)
     if not path.exists():
         raise DatasetError(f"missing dataset file: {path}")
-    return load_dataset(path)
+    ds = load_dataset(path)
+    try:
+        arch.check_input(ds.images.shape)
+    except ValueError as e:
+        raise DatasetError(f"dataset {path} does not fit the model: {e}") from None
+    # one-sided: a split may legitimately lack its highest class
+    if labels and ds.num_classes > arch.num_classes:
+        raise DatasetError(
+            f"class count mismatch: checkpoint has {arch.num_classes} classes, "
+            f"dataset {path} has labels up to class {ds.num_classes - 1}")
+    return ds
 
 
 def _source_trainer(cfg: Config, num_classes: int, seed: int) -> SourceTrainer:
@@ -119,9 +133,10 @@ def _source_trainer(cfg: Config, num_classes: int, seed: int) -> SourceTrainer:
 def cmd_pretrain(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
+    inputs = {name: Path(args.data) / f"{name}.upld" for name in ("source_train", "source_val")}
+    train = _dataset(inputs["source_train"], ArchConfig())
+    val = _dataset(inputs["source_val"], ArchConfig())
     out = _out_dir(args)
-    train = _dataset(args.data, "source_train")
-    val = _dataset(args.data, "source_val")
     trainer = _source_trainer(cfg, train.num_classes, args.seed)
     trainer.fit(train, val)
     ckpt = out / "checkpoint.uplc"
@@ -129,8 +144,6 @@ def cmd_pretrain(args) -> int:
                     seeds={"root": args.seed})
     logp = out / "trainlog.jsonl"
     trainer.log_.write(logp)
-    inputs = {"source_train": Path(args.data) / "source_train.upld",
-              "source_val": Path(args.data) / "source_val.upld"}
     if args.config:
         inputs["config"] = args.config
     _write_manifest(out, "pretrain", cfg, args.seed, inputs, [ckpt, logp], t0)
@@ -174,18 +187,24 @@ def cmd_adapt(args) -> int:
                 return 2
             ablate.add(token)
 
-    train = _dataset(args.data, "target_train")
-    val = _dataset(args.data, "target_val")
-
-    if args.method == "target-only":
-        est = _source_trainer(cfg, train.num_classes, args.seed)
-        fit_set = train
-    else:
+    inputs = {name: Path(args.data) / f"{name}.upld" for name in ("target_train", "target_val")}
+    model = None
+    if args.method != "target-only":
         model, _ = load_checkpoint(args.checkpoint)
         if model.num_heads != 1:
             raise CheckpointError("adaptation expects a single-head source checkpoint")
         if args.method == "upl":
             check_tau(cfg.adapt.tau, model.num_classes)
+        inputs["checkpoint"] = args.checkpoint
+    arch = ArchConfig() if model is None else model.arch
+    supervised = args.method.startswith("finetune")
+    train = _dataset(inputs["target_train"], arch, labels=supervised)
+    val = _dataset(inputs["target_val"], arch, labels=supervised)
+
+    if model is None:
+        est = _source_trainer(cfg, train.num_classes, args.seed)
+        fit_set = train
+    else:
         est = _build_adapter(args.method, model, cfg, args.seed, ablate)
         if args.method == "finetune-train":
             fit_set = train
@@ -205,10 +224,6 @@ def cmd_adapt(args) -> int:
     outputs = [ckpt, logp]
     if args.dump_maps:
         outputs += _dump_maps(Path(args.dump_maps), est, train, cfg)
-    inputs = {"target_train": Path(args.data) / "target_train.upld",
-              "target_val": Path(args.data) / "target_val.upld"}
-    if args.method != "target-only":
-        inputs["checkpoint"] = args.checkpoint
     if args.config:
         inputs["config"] = args.config
     _write_manifest(out, f"adapt:{args.method}", cfg, args.seed, inputs, outputs, t0)
@@ -316,12 +331,7 @@ def cmd_eval(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
     model, _ = load_checkpoint(args.checkpoint)
-    ds = load_dataset(args.data)
-    # one-sided: a split may legitimately lack its highest class
-    if ds.num_classes > model.num_classes:
-        raise DatasetError(
-            f"class count mismatch: checkpoint has {model.num_classes} classes, "
-            f"dataset {args.data} has labels up to class {ds.num_classes - 1}")
+    ds = _dataset(args.data, model.arch, labels=True)
     # read the baseline before evaluating, so a bad one leaves no results behind
     baseline = _read_results_csv(args.baseline) if args.baseline else None
     name = args.name or args.mode
@@ -380,8 +390,10 @@ def cmd_ablate(args) -> int:
     for point in grid:
         check_bounds(point.adapt, "adapt", "grid")
         check_tau(point.adapt.tau, model.num_classes, "grid")
-    train = _dataset(args.data, "target_train")
-    val = _dataset(args.data, "target_val")
+    inputs = {name: Path(args.data) / f"{name}.upld" for name in ("target_train", "target_val")}
+    inputs["checkpoint"] = args.checkpoint
+    train = _dataset(inputs["target_train"], model.arch)
+    val = _dataset(inputs["target_val"], model.arch)
     out = _out_dir(args)
     rows = []
     for combo, point in zip(combos, grid):
@@ -396,9 +408,6 @@ def cmd_ablate(args) -> int:
         w.writerow(keys)
         for row in rows:
             w.writerow([row.get(k, "") for k in keys])
-    inputs = {"checkpoint": args.checkpoint,
-              "target_train": Path(args.data) / "target_train.upld",
-              "target_val": Path(args.data) / "target_val.upld"}
     if args.config:
         inputs["config"] = args.config
     _write_manifest(out, "ablate", cfg, args.seed, inputs, [sweep_csv], t0)

@@ -31,7 +31,7 @@ import numpy as np
 from . import transforms as tf
 from .autodiff import Tape
 from .data import LabeledSet, UnlabeledSet
-from .inference import infer_ensemble, infer_single
+from .inference import head_probs, infer_ensemble, infer_single
 from .losses import (combined_loss, dice_loss, mean_prediction_entropy,
                      multi_head_dice_loss, per_head_entropy)
 from .metrics import dice_coefficient
@@ -300,12 +300,9 @@ class MultiHeadAdapter(SegmentationEstimator):
 
         def heads_pass(x):
             """Every head under its own random transform, mapped back."""
-            probs = []
-            for k in range(work.num_heads):
-                t_k = tf.sample_transform(t_rng) if self.use_transforms else tf.IDENTITY
-                p = work.forward_head(tf.apply_transform(t_k, x), k, train=True, rng=d_rng)
-                probs.append(tf.apply_inverse(t_k, p))
-            return probs
+            ts = [tf.sample_transform(t_rng) if self.use_transforms else tf.IDENTITY
+                  for _ in range(work.num_heads)]
+            return head_probs(work, x, ts, train=True, rng=d_rng)
 
         def step_fn(idx, epoch, step):
             x = train.images[idx]
@@ -383,8 +380,9 @@ class PtbnAdapter(SegmentationEstimator):
 class TentAdapter(SegmentationEstimator):
     """Entropy minimization updating only BN affine parameters.
 
-    Forwards normalize with batch statistics but leave the running buffers
-    untouched, so everything except gamma/beta stays bitwise frozen.
+    Forwards normalize with batch statistics. Each BN layer's running buffers
+    are put back after every forward, so everything except gamma/beta stays
+    bitwise frozen.
     """
 
     def __init__(self, model: SegModel = None, lr: float = 1e-4, epochs: int = 20,
@@ -405,9 +403,15 @@ class TentAdapter(SegmentationEstimator):
         for t in work.parameter_groups("all"):
             t.requires_grad = id(t) in affine
 
+        bns = list(work.bn_layers().values())
+        # BN rebinds its buffers on a train-mode forward, so these stay intact
+        frozen = [(bn.running_mean, bn.running_var, bn.num_batches) for bn in bns]
+
         def step_fn(idx, epoch, step):
             with Tape() as tape:
-                p = work.forward_head(train.images[idx], 0, train=True, update_running=False)
+                p = work.forward_head(train.images[idx], 0, train=True)
+                for bn, (mean, var, n) in zip(bns, frozen):
+                    bn.running_mean, bn.running_var, bn.num_batches = mean, var, n
                 loss = per_head_entropy([p])
                 _check_finite(loss.item(), stage="tent", epoch=epoch, step=step)
                 tape.backward(loss)

@@ -1,24 +1,29 @@
-"""Eval-mode inference: single head or transform-ensembled over all heads."""
+"""The K-head pass, and eval-mode inference built on it.
+
+``head_probs`` runs head k on the batch under transform k and maps the
+result back with the inverse transform. It is the one place that does so:
+eval-mode inference (single head, or transform-ensembled over all heads) and
+both passes of a UPL training step call it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import Tensor
 from .model import SegModel
 from .pseudolabel import cleanup_label_map, ensemble_mean
-from .transforms import SpatialTransform, apply_inverse, apply_transform, sample_transform
+from .transforms import (IDENTITY, SpatialTransform, apply_inverse, apply_transform,
+                         sample_transform)
 
 
-def _predict_probs(model: SegModel, images: np.ndarray, head: int,
-                   transform: SpatialTransform | None = None) -> np.ndarray:
-    x = np.asarray(images, dtype=np.float32)
-    if transform is not None:
-        x = apply_transform(transform, x)
-    p = model.forward_head(x, head, train=False)
-    probs = p.data
-    if transform is not None:
-        probs = apply_inverse(transform, probs)
-    return probs
+def head_probs(model: SegModel, images: np.ndarray, transforms: list[SpatialTransform],
+               train: bool = False, rng: np.random.Generator | None = None) -> list[Tensor]:
+    """Softmax map of head k on ``images`` under ``transforms[k]``, mapped back
+    to the input frame, for k = 0 .. len(transforms) - 1. The maps stay in the
+    autodiff graph; ``train`` and ``rng`` go to ``forward_head``."""
+    return [apply_inverse(t, model.forward_head(apply_transform(t, images), k, train, rng))
+            for k, t in enumerate(transforms)]
 
 
 def _labels_from(mean_prob: np.ndarray, num_classes: int, cleanup: bool) -> np.ndarray:
@@ -28,10 +33,10 @@ def _labels_from(mean_prob: np.ndarray, num_classes: int, cleanup: bool) -> np.n
     return labels
 
 
-def infer_single(model: SegModel, images: np.ndarray, head: int = 0,
+def infer_single(model: SegModel, images: np.ndarray,
                  cleanup: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax labels and probabilities from one head, identity transform."""
-    probs = _predict_probs(model, images, head)
+    """Argmax labels and probabilities from head 0, identity transform."""
+    probs = head_probs(model, images, [IDENTITY])[0].data
     return _labels_from(probs, model.num_classes, cleanup), probs
 
 
@@ -44,6 +49,5 @@ def infer_ensemble(model: SegModel, images: np.ndarray, rng: np.random.Generator
         transforms = [sample_transform(rng) for _ in range(model.num_heads)]
     if len(transforms) != model.num_heads:
         raise ValueError(f"need one transform per head ({model.num_heads}), got {len(transforms)}")
-    mean_prob = ensemble_mean([_predict_probs(model, images, k, t)
-                               for k, t in enumerate(transforms)])
+    mean_prob = ensemble_mean([p.data for p in head_probs(model, images, transforms)])
     return _labels_from(mean_prob, model.num_classes, cleanup), mean_prob

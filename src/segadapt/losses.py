@@ -1,10 +1,12 @@
 """Training losses over autodiff tensors.
 
-All losses take probability maps (post-softmax), compute per sample, and
-average over the batch. Targets and masks are constants; gradients flow only
-through predictions. The reliability-weighted Dice zeroes both numerator and
-denominator contributions of masked-out pixels, so their gradient is exactly
-zero, and an all-zero mask gives loss 1 with zero gradient everywhere.
+All losses take [B,C,H,W] probability maps (post-softmax), and reject any
+other rank, with [B,C,H,W] one-hot targets and [B,H,W] binary masks. They
+compute per sample and average over the batch. Targets and masks are
+constants; gradients flow only through predictions. The reliability-weighted
+Dice zeroes both numerator and denominator contributions of masked-out
+pixels, so their gradient is exactly zero, and an all-zero mask gives loss 1
+with zero gradient everywhere.
 """
 
 from __future__ import annotations
@@ -21,16 +23,9 @@ LOG_FLOOR = 1e-12  # entropy clamp so 0*ln(0) contributes 0
 
 def _as4d(x) -> Tensor:
     t = ad.as_tensor(x)
-    if t.data.ndim == 3:
-        return _expand(t)
     if t.data.ndim != 4:
-        raise ValueError(f"expected [C,H,W] or [B,C,H,W], got shape {t.data.shape}")
+        raise ValueError(f"expected [B,C,H,W], got shape {t.data.shape}")
     return t
-
-
-def _expand(t: Tensor) -> Tensor:
-    # [C,H,W] -> [1,C,H,W] without leaving the graph
-    return ad._node(t.data[None], (t,), lambda g: (g[0],))
 
 
 def _wdice_core(p: Tensor, y: Tensor, m: Tensor, eta: float) -> Tensor:
@@ -44,8 +39,6 @@ def _wdice_core(p: Tensor, y: Tensor, m: Tensor, eta: float) -> Tensor:
 
 def _prep_targets(p: Tensor, y, m) -> tuple[Tensor, Tensor]:
     y = np.asarray(y, dtype=np.float32)
-    if y.ndim == 3:
-        y = y[None]
     if y.shape != p.data.shape:
         raise ValueError(f"target shape {y.shape} does not match prediction {p.data.shape}")
     check_one_hot(y)
@@ -53,8 +46,6 @@ def _prep_targets(p: Tensor, y, m) -> tuple[Tensor, Tensor]:
         m = np.ones((y.shape[0],) + y.shape[2:], dtype=np.float32)
     else:
         m = np.asarray(m, dtype=np.float32)
-        if m.ndim == 2:
-            m = m[None]
         if m.shape != (y.shape[0],) + y.shape[2:]:
             raise ValueError(f"mask shape {m.shape} does not match targets")
         check_binary_mask(m)
@@ -65,7 +56,8 @@ def weighted_dice_loss(p, y, m, eta: float = ETA) -> Tensor:
     """Reliability-weighted soft Dice.
 
     1 - (1/C) sum_c [2 sum_n m p y] / [sum_n m (p + y) + eta], averaged over
-    the batch. ``m`` binary [H,W] / [B,H,W]; ``y`` one-hot like ``p``.
+    the batch. ``p`` is [B,C,H,W], ``y`` one-hot of the same shape and ``m``
+    a binary [B,H,W] mask.
     """
     p = _as4d(p)
     yt, mt = _prep_targets(p, y, m)
@@ -96,9 +88,8 @@ def multi_head_dice_loss(head_probs: list, bundle, eta: float = ETA) -> Tensor:
 
 def _entropy(p: Tensor) -> Tensor:
     # -(1/HW) sum_n sum_c p ln p per sample, batch-averaged; peaks at ln C
-    caxis = 1 if p.data.ndim == 4 else 0
     plogp = ad.mul(p, ad.log(ad.clamp_min(p, LOG_FLOOR)))
-    return ad.neg(ad.tmean(ad.tsum(plogp, axis=caxis)))
+    return ad.neg(ad.tmean(ad.tsum(plogp, axis=1)))
 
 
 def mean_prediction_entropy(head_probs: list) -> Tensor:

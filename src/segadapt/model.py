@@ -40,6 +40,17 @@ class ArchConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
 
+    def check_input(self, shape):
+        """ValueError unless ``shape`` is a [B,C,H,W] batch this network takes:
+        ``in_channels`` channels, H and W divisible by the ``levels`` poolings."""
+        if len(shape) != 4:
+            raise ValueError(f"expected [B,C,H,W] input, got shape {tuple(shape)}")
+        if shape[1] != self.in_channels:
+            raise ValueError(f"expected {self.in_channels} input channels, got {shape[1]}")
+        div = 2**self.levels
+        if shape[2] % div or shape[3] % div:
+            raise ValueError(f"spatial dims must be divisible by {div}, got {shape[2]}x{shape[3]}")
+
     @property
     def level_channels(self):
         return [self.base_channels * (2**i) for i in range(self.levels)]
@@ -77,9 +88,9 @@ class ConvBlock:
         self.n2 = BatchNorm2d(cout)
         self.leak = leak
 
-    def forward(self, x, train: bool, update_running: bool = True):
-        x = ad.leaky_relu(self.n1.forward(self.c1.forward(x), train, update_running), self.leak)
-        x = ad.leaky_relu(self.n2.forward(self.c2.forward(x), train, update_running), self.leak)
+    def forward(self, x, train: bool):
+        x = ad.leaky_relu(self.n1.forward(self.c1.forward(x), train), self.leak)
+        x = ad.leaky_relu(self.n2.forward(self.c2.forward(x), train), self.leak)
         return x
 
 
@@ -93,13 +104,13 @@ class Encoder:
             cin = c
         self.bottom = ConvBlock(cin, arch.bottleneck_channels, arch.kernel, arch.leak, rng)
 
-    def forward(self, x, train: bool, update_running: bool = True):
+    def forward(self, x, train: bool):
         skips = []
         for blk in self.blocks:
-            x = blk.forward(x, train, update_running)
+            x = blk.forward(x, train)
             skips.append(x)
             x = ad.maxpool2d(x)
-        x = self.bottom.forward(x, train, update_running)
+        x = self.bottom.forward(x, train)
         return x, skips
 
 
@@ -112,11 +123,11 @@ class UpStage:
         self.block = ConvBlock(2 * cout, cout, k, leak, rng)
         self.leak = leak
 
-    def forward(self, x, skip, train: bool, update_running: bool = True):
+    def forward(self, x, skip, train: bool):
         x = ad.upsample_nearest2x(x)
-        x = ad.leaky_relu(self.un.forward(self.up.forward(x), train, update_running), self.leak)
+        x = ad.leaky_relu(self.un.forward(self.up.forward(x), train), self.leak)
         x = ad.concat([x, skip], axis=1)
-        return self.block.forward(x, train, update_running)
+        return self.block.forward(x, train)
 
 
 class Decoder:
@@ -131,9 +142,9 @@ class Decoder:
             cin = c
         self.out = Conv2d(cin, arch.num_classes, 1, rng)
 
-    def forward(self, x, skips, train: bool, update_running: bool = True):
+    def forward(self, x, skips, train: bool):
         for stage, skip in zip(self.stages, reversed(skips)):
-            x = stage.forward(x, skip, train, update_running)
+            x = stage.forward(x, skip, train)
         return self.out.forward(x)
 
 
@@ -141,8 +152,11 @@ class SegModel:
     """Encoder plus one or more decoder heads.
 
     ``forward_head`` returns softmax probabilities for one head. Dropout on
-    the head's input feature map is active only after ``grow`` and only in
-    train mode with ``dropout`` enabled.
+    the head's input feature map is active only in train mode while
+    ``head_dropout`` is set, which ``grow`` does. A train-mode forward
+    normalizes with batch statistics and blends them into every BatchNorm's
+    running buffers. Layers are named by position (``enc.l0.c1``,
+    ``head2.s1.up``); ``named_parameters`` and ``bn_layers`` use these names.
     """
 
     def __init__(self, arch: ArchConfig, rng: np.random.Generator):
@@ -159,75 +173,52 @@ class SegModel:
     def num_classes(self) -> int:
         return self.arch.num_classes
 
-    def _check_input(self, x: np.ndarray):
-        if x.ndim != 4:
-            raise ValueError(f"expected [B,C,H,W] input, got shape {x.shape}")
-        if x.shape[1] != self.arch.in_channels:
-            raise ValueError(f"expected {self.arch.in_channels} input channels, got {x.shape[1]}")
-        div = 2**self.arch.levels
-        if x.shape[2] % div or x.shape[3] % div:
-            raise ValueError(f"spatial dims must be divisible by {div}, got {x.shape[2]}x{x.shape[3]}")
-
-    def forward_head(self, x, head: int, train: bool, rng: np.random.Generator | None = None,
-                     dropout: bool = True, update_running: bool = True):
+    def forward_head(self, x, head: int, train: bool, rng: np.random.Generator | None = None):
         """Softmax probabilities [B,C,H,W] from one head (0-based index)."""
         if not 0 <= head < len(self.heads):
             raise IndexError(f"head {head} out of range (model has {len(self.heads)})")
         xt = x if isinstance(x, ad.Tensor) else ad.Tensor(x)
-        self._check_input(xt.data)
-        feat, skips = self.encoder.forward(xt, train, update_running)
-        if self.head_dropout and dropout and train and self.arch.dropout_rate > 0.0:
+        self.arch.check_input(xt.data.shape)
+        feat, skips = self.encoder.forward(xt, train)
+        if self.head_dropout and train and self.arch.dropout_rate > 0.0:
             if rng is None:
                 raise ValueError("train-mode forward with dropout needs an rng")
             feat = ad.dropout(feat, self.arch.dropout_rate, rng, train=True)
-        logits = self.heads[head].forward(feat, skips, train, update_running)
+        logits = self.heads[head].forward(feat, skips, train)
         return ad.softmax_channel(logits)
 
     # -- parameter access -------------------------------------------------
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-
-        def conv(prefix, c: Conv2d):
-            out[f"{prefix}.w"] = c.w
-            out[f"{prefix}.b"] = c.b
-
-        def bn(prefix, n: BatchNorm2d):
-            out[f"{prefix}.gamma"] = n.gamma
-            out[f"{prefix}.beta"] = n.beta
+    def _layers(self):
+        """(name, Conv2d | BatchNorm2d) of every layer, in construction order."""
 
         def block(prefix, blk: ConvBlock):
-            conv(f"{prefix}.c1", blk.c1)
-            bn(f"{prefix}.n1", blk.n1)
-            conv(f"{prefix}.c2", blk.c2)
-            bn(f"{prefix}.n2", blk.n2)
+            yield f"{prefix}.c1", blk.c1
+            yield f"{prefix}.n1", blk.n1
+            yield f"{prefix}.c2", blk.c2
+            yield f"{prefix}.n2", blk.n2
 
         for i, blk in enumerate(self.encoder.blocks):
-            block(f"enc.l{i}", blk)
-        block("enc.bottom", self.encoder.bottom)
+            yield from block(f"enc.l{i}", blk)
+        yield from block("enc.bottom", self.encoder.bottom)
         for h, head in enumerate(self.heads):
             for s, stage in enumerate(head.stages):
-                conv(f"head{h}.s{s}.up", stage.up)
-                bn(f"head{h}.s{s}.un", stage.un)
-                block(f"head{h}.s{s}", stage.block)
-            conv(f"head{h}.out", head.out)
+                yield f"head{h}.s{s}.up", stage.up
+                yield f"head{h}.s{s}.un", stage.un
+                yield from block(f"head{h}.s{s}", stage.block)
+            yield f"head{h}.out", head.out
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for name, layer in self._layers():
+            if isinstance(layer, BatchNorm2d):
+                out[f"{name}.gamma"], out[f"{name}.beta"] = layer.gamma, layer.beta
+            else:
+                out[f"{name}.w"], out[f"{name}.b"] = layer.w, layer.b
         return out
 
     def bn_layers(self) -> dict[str, BatchNorm2d]:
-        out: dict[str, BatchNorm2d] = {}
-
-        def block(prefix, blk: ConvBlock):
-            out[f"{prefix}.n1"] = blk.n1
-            out[f"{prefix}.n2"] = blk.n2
-
-        for i, blk in enumerate(self.encoder.blocks):
-            block(f"enc.l{i}", blk)
-        block("enc.bottom", self.encoder.bottom)
-        for h, head in enumerate(self.heads):
-            for s, stage in enumerate(head.stages):
-                out[f"head{h}.s{s}.un"] = stage.un
-                block(f"head{h}.s{s}", stage.block)
-        return out
+        return {name: layer for name, layer in self._layers() if isinstance(layer, BatchNorm2d)}
 
     def parameter_groups(self, selector: str = "all") -> list[Tensor]:
         """Addressable parameter groups: all | encoder | head:<k> | bn_affine_only."""

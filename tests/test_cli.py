@@ -552,6 +552,53 @@ class TestLoaderErrors:
         assert "non-finite" in capsys.readouterr().err
 
 
+def misfit_data(src, dst, change):
+    """Copy of every dataset file in ``src`` with one change the checkpoint of
+    ``ws`` (1 channel, 2 levels, 3 classes) cannot take."""
+    dst.mkdir()
+    for name in DATA_FILES:
+        ds = load_dataset(src / name)
+        images, labels = ds.images, ds.labels.copy()
+        if change == "34x34":  # not divisible by the 2 poolings
+            images = np.pad(images, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            labels = np.pad(labels, ((0, 0), (1, 1), (1, 1)))
+        elif change == "2-channel":
+            images = np.concatenate([images, images], axis=1)
+        else:  # one pixel of class 3
+            labels[0, 0, 0] = 3
+        save_dataset(dst / name, LabeledSet(images, ds.case_index, list(ds.case_ids),
+                                            labels=labels))
+
+
+class TestMisfitData:
+    @pytest.mark.parametrize("command,change,named", [
+        ("pretrain", "34x34", "source_train.upld"),
+        ("adapt-upl", "34x34", "target_train.upld"),
+        ("ablate", "34x34", "target_train.upld"),
+        ("eval", "34x34", "target_test.upld"),
+        ("eval", "2-channel", "target_test.upld"),
+        ("adapt-finetune-train", "class-3", "target_train.upld"),
+    ])
+    def test_exits_3_naming_the_file_before_any_output(self, ws, tmp_path, capsys,
+                                                        command, change, named):
+        data, out = tmp_path / "data", tmp_path / "o"
+        misfit_data(ws.data, data, change)
+        ckpt = ["--checkpoint", str(ws.ckpt)]
+        argv = {
+            "pretrain": ["pretrain", "--data", str(data), "--out", str(out)],
+            "adapt-upl": ["adapt", "--data", str(data), "--out", str(out)] + ckpt,
+            "ablate": ["ablate", "--data", str(data), "--out", str(out), "--grid",
+                       "heads=2"] + ckpt,
+            "eval": ["eval", "--data", str(data / named), "--out", str(out / "r.csv")] + ckpt,
+            "adapt-finetune-train": ["adapt", "--data", str(data), "--out", str(out),
+                                     "--method", "finetune-train"] + ckpt,
+        }[command]
+        rc = cli.main(argv + ["--config", str(ws.cfg)])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestAblate:
     def test_grid_rows_match_grid_size(self, ws):
         out = ws.root / "sweep"

@@ -92,7 +92,7 @@ class TestWeightedDice:
                     den += m[i, j] * (p[c, i, j] + y[c, i, j])
             expect += (num / (den + ETA)) / 2
         expect = 1.0 - expect
-        got = float(weighted_dice_loss(p, y, m).data)
+        got = float(weighted_dice_loss(p[None], y[None], m[None]).data)
         assert abs(got - expect) <= 1e-6
         assert abs(wdice_f64(p, y, m) - expect) <= 1e-6
 
@@ -102,7 +102,7 @@ class TestWeightedDice:
         y[0] = 1.0
         m = np.ones((1, 1), np.float32)
         expect = 1.0 - 0.5 * (1.0 / (1.5 + ETA))
-        assert abs(float(weighted_dice_loss(p, y, m).data) - expect) <= 1e-6
+        assert abs(float(weighted_dice_loss(p[None], y[None], m[None]).data) - expect) <= 1e-6
 
     def test_gradient_matches_finite_differences(self):
         z = prob_leaf((2, 3, 5, 5), 6)
@@ -166,6 +166,23 @@ class TestWeightedDice:
             weighted_dice_loss(p, y, m)
         with pytest.raises(ValueError):
             multi_head_dice_loss([p], PseudoLabelBundle(y, m))
+
+
+@pytest.mark.parametrize("loss", [
+    lambda p, y, m: weighted_dice_loss(p, y, m),
+    lambda p, y, m: dice_loss(p, y),
+    lambda p, y, m: multi_head_dice_loss([p], PseudoLabelBundle(y, m)),
+    lambda p, y, m: mean_prediction_entropy([p]),
+    lambda p, y, m: per_head_entropy([p]),
+], ids=["weighted_dice", "dice", "multi_head_dice", "mean_entropy", "per_head_entropy"])
+def test_three_dim_input_is_rejected(loss):
+    # one [C,H,W] sample with [C,H,W] targets and an [H,W] mask
+    p = rand_probs((1, 3, 4, 4), 15)[0]
+    y = rand_onehot((1, 3, 4, 4), 16)[0]
+    m = np.ones((4, 4), np.float32)
+    with pytest.raises(ValueError):
+        loss(p, y, m)
+
 
 class TestMultiHead:
     def make_bundle(self, shape=(1, 3, 6, 6), seed=20):

@@ -94,18 +94,6 @@ class TestForward:
         b = m.forward_head(x, 0, train=False).data
         assert np.array_equal(a, b)
 
-    def test_update_running_off_freezes_stats(self):
-        m = warm(make_model())
-        before = {n: (bn.running_mean.copy(), bn.running_var.copy(), bn.num_batches)
-                  for n, bn in m.bn_layers().items()}
-        x = np.random.default_rng(4).standard_normal((2, 1, 16, 16)).astype(np.float32)
-        m.forward_head(x, 0, train=True, update_running=False)
-        for n, bn in m.bn_layers().items():
-            rm, rv, nb = before[n]
-            assert np.array_equal(bn.running_mean, rm)
-            assert np.array_equal(bn.running_var, rv)
-            assert bn.num_batches == nb
-
     @pytest.mark.parametrize("grown,nodes", [(False, 44), (True, 45)])
     def test_taped_forward_records_one_node_per_primitive(self, grown, nodes):
         # 13 conv2d, 12 BatchNorm, 12 leaky_relu, 2 maxpool, 2 upsample,
@@ -215,11 +203,11 @@ class TestGrowClone:
     def test_train_mode_heads_differ_through_dropout(self):
         g = warm(make_model(seed=9)).grow(2)
         x = np.random.default_rng(10).standard_normal((1, 1, 16, 16)).astype(np.float32)
-        a = g.forward_head(x, 0, train=True, rng=np.random.default_rng(1), update_running=False).data
-        b = g.forward_head(x, 1, train=True, rng=np.random.default_rng(2), update_running=False).data
+        a = g.forward_head(x, 0, train=True, rng=np.random.default_rng(1)).data
+        b = g.forward_head(x, 1, train=True, rng=np.random.default_rng(2)).data
         assert not np.array_equal(a, b)
         # same rng stream gives the same gate, hence the same output
-        c = g.forward_head(x, 1, train=True, rng=np.random.default_rng(1), update_running=False).data
+        c = g.forward_head(x, 1, train=True, rng=np.random.default_rng(1)).data
         assert np.array_equal(a, c)
 
     def test_dropout_needs_rng_only_after_grow(self):
@@ -228,7 +216,8 @@ class TestGrowClone:
         g = make_model().grow(2)
         with pytest.raises(ValueError):
             g.forward_head(x, 0, train=True)
-        g.forward_head(x, 0, train=True, dropout=False)  # gate disabled
+        g.head_dropout = False  # gate disabled
+        g.forward_head(x, 0, train=True)
 
     def test_clone_is_equal_but_independent(self):
         m = warm(make_model(seed=11))
