@@ -19,6 +19,5 @@ from .rng import SeedBundle, named_stream
 from .synthdata import BENCHMARKS, DomainSpec, generate_benchmark, generate_domain
 from .transforms import (FAMILY, IDENTITY, SpatialTransform, apply_inverse,
                          apply_transform, inverse, sample_transform)
-from .validation import NotFittedError
 
 __version__ = "0.1.0"

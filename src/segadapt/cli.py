@@ -25,8 +25,9 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import (Config, ConfigError, check_bounds, check_tau, default_config, parse_config,
                      snapshot)
 from .data import DatasetError, LabeledSet, load_dataset, save_dataset
-from .estimators import (FineTuner, MultiHeadAdapter, NumericFailure, PtbnAdapter,
-                         SelfTrainAdapter, SourceTrainer, TentAdapter)
+from .estimators import (ABLATIONS, FineTuner, MultiHeadAdapter, NumericFailure,
+                         PtbnAdapter, SelfTrainAdapter, SourceTrainer, TentAdapter,
+                         check_ablate)
 from .inference import infer_ensemble, infer_single
 from .metrics import (CaseResult, DegenerateStatsError, aggregate, assd,
                       dice_coefficient, paired_t_test)
@@ -38,13 +39,11 @@ from .synthdata import generate_benchmark
 SPLITS = ("train", "val", "test")
 DOMAINS = ("source", "target")
 
-ABLATE_FLAGS = {
-    "M": "use_reliability",
-    "TDG": "use_dropout",
-    "T": "use_transforms",
-    "TFS": "use_pseudo_supervision",
-    "LMENT": "use_mean_entropy",
-}
+# --method -> the adapter it fits on the source model; all but ptbn also read
+# the [adapt] section, and target-only trains a SourceTrainer on [pretrain]
+ADAPTERS = {"upl": MultiHeadAdapter, "tent": TentAdapter, "ptbn": PtbnAdapter,
+            "selftrain": SelfTrainAdapter, "finetune-train": FineTuner,
+            "finetune-valid": FineTuner}
 
 
 def _sha256(path) -> str:
@@ -111,6 +110,8 @@ def _dataset(path, arch: ArchConfig, labels: bool = False) -> LabeledSet:
     if not path.exists():
         raise DatasetError(f"missing dataset file: {path}")
     ds = load_dataset(path)
+    if len(ds) == 0:
+        raise DatasetError(f"dataset {path} has no slices")
     try:
         arch.check_input(ds.images.shape)
     except ValueError as e:
@@ -123,13 +124,6 @@ def _dataset(path, arch: ArchConfig, labels: bool = False) -> LabeledSet:
     return ds
 
 
-def _source_trainer(cfg: Config, num_classes: int, seed: int) -> SourceTrainer:
-    pc = cfg.pretrain
-    return SourceTrainer(num_classes=num_classes, epochs=pc.epochs, lr=pc.lr,
-                         lr_decay=pc.lr_decay, decay_every=pc.decay_every,
-                         batch=pc.batch, seed=seed)
-
-
 def cmd_pretrain(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
@@ -137,7 +131,7 @@ def cmd_pretrain(args) -> int:
     train = _dataset(inputs["source_train"], ArchConfig())
     val = _dataset(inputs["source_val"], ArchConfig())
     out = _out_dir(args)
-    trainer = _source_trainer(cfg, train.num_classes, args.seed)
+    trainer = SourceTrainer(cfg.pretrain, train.num_classes, args.seed)
     trainer.fit(train, val)
     ckpt = out / "checkpoint.uplc"
     save_checkpoint(ckpt, trainer.model_, epoch=trainer.best_epoch_,
@@ -151,41 +145,19 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _build_adapter(method: str, model, cfg: Config, seed: int, ablate: set):
-    ac = cfg.adapt
-    if method == "upl":
-        kwargs = {v: False for k, v in ABLATE_FLAGS.items() if k in ablate}
-        return MultiHeadAdapter(model=model, heads=ac.heads, tau=ac.tau,
-                                entropy_weight=ac.entropy_weight, lr=ac.lr,
-                                epochs=ac.epochs, batch=ac.batch, cleanup=ac.cleanup,
-                                seed=seed, **kwargs)
-    if method == "tent":
-        return TentAdapter(model=model, lr=ac.lr, epochs=ac.epochs, batch=ac.batch, seed=seed)
-    if method == "ptbn":
-        return PtbnAdapter(model=model, seed=seed)
-    if method == "selftrain":
-        return SelfTrainAdapter(model=model, entropy_weight=ac.entropy_weight, lr=ac.lr,
-                                epochs=ac.epochs, batch=ac.batch, cleanup=ac.cleanup, seed=seed)
-    if method in ("finetune-train", "finetune-valid"):
-        return FineTuner(model=model, epochs=ac.epochs, lr=ac.lr, batch=ac.batch, seed=seed)
-    raise ValueError(f"unhandled method {method}")
-
-
 def cmd_adapt(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
-    ablate = set()
+    ablate = frozenset()
     if args.ablate:
         if args.method != "upl":
             print(f"--ablate only applies to --method upl, got {args.method}", file=sys.stderr)
             return 2
-        for token in args.ablate.split(","):
-            token = token.strip()
-            if token not in ABLATE_FLAGS:
-                print(f"unknown ablation flag {token!r}; known: {sorted(ABLATE_FLAGS)}",
-                      file=sys.stderr)
-                return 2
-            ablate.add(token)
+        try:
+            ablate = check_ablate(token.strip() for token in args.ablate.split(","))
+        except ValueError as e:
+            print(f"--ablate: {e}", file=sys.stderr)
+            return 2
 
     inputs = {name: Path(args.data) / f"{name}.upld" for name in ("target_train", "target_val")}
     model = None
@@ -202,10 +174,15 @@ def cmd_adapt(args) -> int:
     val = _dataset(inputs["target_val"], arch, labels=supervised)
 
     if model is None:
-        est = _source_trainer(cfg, train.num_classes, args.seed)
+        est = SourceTrainer(cfg.pretrain, train.num_classes, args.seed)
         fit_set = train
     else:
-        est = _build_adapter(args.method, model, cfg, args.seed, ablate)
+        if args.method == "ptbn":
+            est = PtbnAdapter(model, args.seed)
+        elif args.method == "upl":
+            est = MultiHeadAdapter(model, cfg.adapt, args.seed, ablate)
+        else:
+            est = ADAPTERS[args.method](model, cfg.adapt, args.seed)
         if args.method == "finetune-train":
             fit_set = train
         elif args.method == "finetune-valid":
@@ -397,7 +374,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     rows = []
     for combo, point in zip(combos, grid):
-        est = _build_adapter("upl", model, point, args.seed, set())
+        est = MultiHeadAdapter(model, point.adapt, args.seed)
         est.fit(train.drop_labels(), val)
         rows.append({**combo, "val_dice": est.best_val_dice_, "best_epoch": est.best_epoch_})
         print(f"{combo} -> val dice {est.best_val_dice_:.4f}")
@@ -442,9 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True)
     a.add_argument("--config")
     a.add_argument("--method", default="upl",
-                   choices=["upl", "tent", "ptbn", "selftrain", "finetune-train",
-                            "finetune-valid", "target-only"])
-    a.add_argument("--ablate", help="comma list from M,TDG,T,TFS,LMENT (upl only)")
+                   choices=[*ADAPTERS, "target-only"])
+    a.add_argument("--ablate", help=f"comma list from {','.join(ABLATIONS)} (upl only)")
     a.add_argument("--dump-maps", help="directory for PGM pseudo-label dumps")
     a.add_argument("--seed", type=int, default=0)
     a.set_defaults(func=cmd_adapt)

@@ -113,15 +113,18 @@ _SCHEDULE_BOUNDS = {
               "'volume' or an integer >= 1"),
 }
 _SIZE_STEP = 2 ** ArchConfig().levels  # each encoder level halves the image
+# at both caps the float32 slices of the two domains take about 1.6 GB
+_MAX_CASES, _MAX_SIZE = 1000, 128
 
 # section -> key -> (predicate, requirement); every predicate is False for nan
 _BOUNDS = {
     "data": {
         "benchmark": (lambda v: v in BENCHMARKS, f"one of {sorted(BENCHMARKS)}"),
-        "n_cases": (lambda v: min(split_counts(v)) >= 1,
-                    f"at least one case in each split of {SPLIT_RATIOS}, i.e. >= 10"),
-        "image_size": (lambda v: v >= 32 and v % _SIZE_STEP == 0,
-                       f"a multiple of {_SIZE_STEP} and >= 32"),
+        "n_cases": (lambda v: min(split_counts(v)) >= 1 and v <= _MAX_CASES,
+                    f"at least one case in each split of {SPLIT_RATIOS}, i.e. >= 10, "
+                    f"and <= {_MAX_CASES}"),
+        "image_size": (lambda v: 32 <= v <= _MAX_SIZE and v % _SIZE_STEP == 0,
+                       f"a multiple of {_SIZE_STEP} in 32..{_MAX_SIZE}"),
     },
     "pretrain": {
         **_SCHEDULE_BOUNDS,

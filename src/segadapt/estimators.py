@@ -1,7 +1,10 @@
-"""Training and adaptation procedures with a fit/predict estimator surface.
+"""Training and adaptation: fit procedures configured by their INI section.
 
-Each procedure is a class holding its hyperparameters as attributes. All but
-``PtbnAdapter`` run the same epoch loop and differ only in the update step:
+Each procedure reads its hyperparameters from the config dataclass that owns
+them (``PretrainConfig`` for ``SourceTrainer``, ``AdaptConfig`` for the
+adapters), so ``config.py`` is the one place that declares them and their
+defaults. All but ``PtbnAdapter`` run the same epoch loop and differ only in
+the update step:
 
 - ``SourceTrainer``: supervised Dice training from scratch (also serves as
   the target-only ceiling when fed target data).
@@ -10,7 +13,8 @@ Each procedure is a class holding its hyperparameters as attributes. All but
   tape-free pass under random invertible transforms to build pseudo labels
   and a reliability map from the head-mean prediction, and a second, taped
   pass whose heads are supervised by that frozen bundle (reliability-weighted
-  Dice) plus a mean-prediction entropy term.
+  Dice) plus a mean-prediction entropy term. ``ablate`` switches off the
+  paper's named ingredients (``ABLATIONS``).
 - ``PtbnAdapter``: refreshes BN running statistics on target batches.
 - ``TentAdapter``: entropy minimization on BN affine parameters only.
 - ``SelfTrainAdapter``: single head supervised by its own argmax labels.
@@ -30,6 +34,7 @@ import numpy as np
 
 from . import transforms as tf
 from .autodiff import Tape
+from .config import AdaptConfig, PretrainConfig
 from .data import LabeledSet, UnlabeledSet
 from .inference import head_probs, infer_ensemble, infer_single
 from .losses import (combined_loss, dice_loss, mean_prediction_entropy,
@@ -39,7 +44,22 @@ from .model import ArchConfig, SegModel
 from .optim import Adam
 from .pseudolabel import make_pseudo_label, one_hot
 from .rng import SeedBundle
-from .validation import NotFittedError
+
+# UPL-SFDA's ingredients, by the paper's names: reliability mask M, Target
+# Domain Growing TDG (per-head dropout), transforms T, Twice Forward pass
+# Supervision TFS and the mean-prediction entropy LMENT
+ABLATIONS = ("M", "TDG", "T", "TFS", "LMENT")
+
+
+def check_ablate(ablate) -> frozenset:
+    """``ablate`` as a set of ``ABLATIONS`` names that keeps a loss term."""
+    ablate = frozenset(ablate)
+    unknown = ablate - set(ABLATIONS)
+    if unknown:
+        raise ValueError(f"unknown ablation {sorted(unknown)}; known: {', '.join(ABLATIONS)}")
+    if {"TFS", "LMENT"} <= ablate:
+        raise ValueError("ablating both TFS and LMENT leaves nothing to optimize")
+    return ablate
 
 
 class NumericFailure(RuntimeError):
@@ -118,6 +138,15 @@ def _check_finite(value: float, **ctx):
         raise NumericFailure(f"non-finite loss {value!r}", dict(ctx, loss=float(value)))
 
 
+def _pseudo_label(prob: np.ndarray, tau: float | None, cleanup: bool, step: int, **ctx):
+    """Pseudo labels from the model's own prediction. A non-finite value there
+    fails the run like a non-finite loss, where ``make_pseudo_label`` would
+    reject it as bad input."""
+    if not np.isfinite(prob).all():
+        raise NumericFailure("non-finite prediction", dict(ctx, step=step, loss=float("nan")))
+    return make_pseudo_label(prob, tau, cleanup=cleanup, step=step)
+
+
 def validation_dice(predict_fn, val: LabeledSet, num_classes: int) -> tuple[float, list]:
     """Mean-over-classes of per-class mean-over-cases foreground Dice."""
     per_class = {c: [] for c in range(1, num_classes)}
@@ -130,29 +159,22 @@ def validation_dice(predict_fn, val: LabeledSet, num_classes: int) -> tuple[floa
 
 
 class SegmentationEstimator:
-    """predict over the fitted model, plus the epoch loop shared by every
-    procedure that takes optimizer steps."""
+    """A fit procedure on a pre-trained ``model``, configured by ``cfg`` (its
+    INI section), plus the epoch loop shared by every procedure that takes
+    optimizer steps."""
 
-    @property
-    def fitted_model(self) -> SegModel:
-        model = getattr(self, "model_", None)
-        if model is None:
-            raise NotFittedError(f"{type(self).__name__} is not fitted; call fit() first")
-        return model
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        labels, _ = infer_single(self.fitted_model, images)
-        return labels
+    def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int):
+        self.model, self.cfg, self.seed = model, cfg, seed
 
     def _fit_epochs(self, work: SegModel, opt: Adam | None, train: UnlabeledSet,
                     val: LabeledSet, step_fn, *, lr_fn=None, predict_fn=None):
-        """Run ``self.epochs`` epochs of ``step_fn(idx, epoch, step)`` over
-        ``self.batch``-sized batches, validate after each and keep the best.
+        """Run ``cfg.epochs`` epochs of ``step_fn(idx, epoch, step)`` over
+        ``cfg.batch``-sized batches, validate after each and keep the best.
 
         ``step_fn`` tapes one update, leaving gradients on the parameters, and
         returns its log terms (keys among ``loss``, ``loss_entropy`` and
         ``reliable_fraction``). ``opt`` None means observe only. The learning
-        rate is ``lr_fn(epoch)`` when given, else the constant ``self.lr``.
+        rate is ``lr_fn(epoch)`` when given, else the constant ``cfg.lr``.
         """
         if predict_fn is None:
             predict_fn = lambda imgs: infer_single(work, imgs)[0]
@@ -160,13 +182,13 @@ class SegmentationEstimator:
         log = TrainLog()
         best_model, best_val, best_epoch = None, -1.0, -1
         step = 0
-        for epoch in range(self.epochs):
+        for epoch in range(self.cfg.epochs):
             t0 = time.monotonic()
-            lr = self.lr if lr_fn is None else lr_fn(epoch)
+            lr = self.cfg.lr if lr_fn is None else lr_fn(epoch)
             if lr_fn is not None:
                 opt.lr = lr
             terms = {"loss": [], "loss_entropy": [], "reliable_fraction": []}
-            for idx in iter_batches(train, self.batch, order_rng):
+            for idx in iter_batches(train, self.cfg.batch, order_rng):
                 step += 1
                 for key, value in step_fn(idx, epoch, step).items():
                     terms[key].append(value)
@@ -189,7 +211,7 @@ class SegmentationEstimator:
     def _supervised(self, work: SegModel, train: LabeledSet, val: LabeledSet, lr_fn,
                     stage: str):
         """Supervised Dice training of head 0 on every parameter."""
-        opt = Adam(work.parameter_groups("all"), lr_fn(0) if self.epochs else 1e-4)
+        opt = Adam(work.parameter_groups("all"), lr_fn(0) if self.cfg.epochs else 1e-4)
 
         def step_fn(idx, epoch, step):
             y = one_hot(train.labels[idx], work.num_classes)
@@ -203,51 +225,28 @@ class SegmentationEstimator:
 
 
 class SourceTrainer(SegmentationEstimator):
-    """Supervised Dice training from random init, best-validation selection.
+    """Supervised Dice training of a fresh ``num_classes`` model,
+    best-validation selection.
 
     lr decays multiplicatively: lr * lr_decay ** (epoch // decay_every).
     """
 
-    def __init__(self, num_classes: int = 3, in_channels: int = 1, levels: int = 2,
-                 base_channels: int = 8, dropout_rate: float = 0.5, epochs: int = 400,
-                 lr: float = 0.01, lr_decay: float = 0.9, decay_every: int = 4,
-                 batch="volume", seed: int = 0):
-        self.num_classes = num_classes
-        self.in_channels = in_channels
-        self.levels = levels
-        self.base_channels = base_channels
-        self.dropout_rate = dropout_rate
-        self.epochs = epochs
-        self.lr = lr
-        self.lr_decay = lr_decay
-        self.decay_every = decay_every
-        self.batch = batch
-        self.seed = seed
+    def __init__(self, cfg: PretrainConfig, num_classes: int, seed: int):
+        self.cfg, self.num_classes, self.seed = cfg, num_classes, seed
 
     def fit(self, train: LabeledSet, val: LabeledSet):
-        arch = ArchConfig(in_channels=self.in_channels, num_classes=self.num_classes,
-                          levels=self.levels, base_channels=self.base_channels,
-                          dropout_rate=self.dropout_rate)
-        model = SegModel(arch, SeedBundle(self.seed).stream("init"))
-        lr_fn = lambda e: self.lr * (self.lr_decay ** (e // self.decay_every))
+        model = SegModel(ArchConfig(num_classes=self.num_classes),
+                         SeedBundle(self.seed).stream("init"))
+        c = self.cfg
+        lr_fn = lambda e: c.lr * (c.lr_decay ** (e // c.decay_every))
         return self._supervised(model, train, val, lr_fn, "pretrain")
 
 
 class FineTuner(SegmentationEstimator):
     """Supervised Dice training continued from a pre-trained model."""
 
-    def __init__(self, model: SegModel = None, epochs: int = 20, lr: float = 1e-4,
-                 batch="volume", seed: int = 0):
-        self.model = model
-        self.epochs = epochs
-        self.lr = lr
-        self.batch = batch
-        self.seed = seed
-
     def fit(self, train: LabeledSet, val: LabeledSet):
-        if self.model is None:
-            raise ValueError("FineTuner needs a pre-trained model")
-        return self._supervised(self.model.clone(), train, val, lambda e: self.lr,
+        return self._supervised(self.model.clone(), train, val, lambda e: self.cfg.lr,
                                 "finetune")
 
 
@@ -258,41 +257,21 @@ class MultiHeadAdapter(SegmentationEstimator):
     the first (tape-free, its own transforms and dropout draws) yields the
     frozen pseudo-label/reliability bundle from the head-mean prediction; the
     second (taped, fresh draws) is supervised by that bundle and regularized
-    by the entropy of its mean prediction. The ``use_*`` switches disable
-    individual ingredients for ablation.
+    by the entropy of its mean prediction. ``ablate`` names the ingredients
+    (from ``ABLATIONS``) switched off.
     """
 
-    def __init__(self, model: SegModel = None, heads: int = 4, tau: float = 0.95,
-                 entropy_weight: float = 1.0, lr: float = 1e-4, epochs: int = 20,
-                 batch="volume", cleanup: bool = True, use_reliability: bool = True,
-                 use_dropout: bool = True, use_transforms: bool = True,
-                 use_pseudo_supervision: bool = True, use_mean_entropy: bool = True,
-                 seed: int = 0):
-        self.model = model
-        self.heads = heads
-        self.tau = tau
-        self.entropy_weight = entropy_weight
-        self.lr = lr
-        self.epochs = epochs
-        self.batch = batch
-        self.cleanup = cleanup
-        self.use_reliability = use_reliability
-        self.use_dropout = use_dropout
-        self.use_transforms = use_transforms
-        self.use_pseudo_supervision = use_pseudo_supervision
-        self.use_mean_entropy = use_mean_entropy
-        self.seed = seed
+    def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int,
+                 ablate: frozenset = frozenset()):
+        super().__init__(model, cfg, seed)
+        self.ablate = check_ablate(ablate)
 
     def fit(self, train: UnlabeledSet, val: LabeledSet):
-        if self.model is None:
-            raise ValueError("MultiHeadAdapter needs a pre-trained model")
-        if self.model.num_heads != 1:
-            raise ValueError("expected a single-head source model")
-        if not (self.use_pseudo_supervision or self.use_mean_entropy):
-            raise ValueError("all loss terms disabled; nothing to optimize")
-        work = self.model.grow(self.heads)
-        if not self.use_dropout:
+        cfg, ablate = self.cfg, self.ablate
+        work = self.model.grow(cfg.heads)
+        if "TDG" in ablate:
             work.head_dropout = False
+        tau = None if "M" in ablate else cfg.tau
         seeds = SeedBundle(self.seed)
         t_rng = seeds.stream("transforms")
         d_rng = seeds.stream("dropout")
@@ -300,7 +279,7 @@ class MultiHeadAdapter(SegmentationEstimator):
 
         def heads_pass(x):
             """Every head under its own random transform, mapped back."""
-            ts = [tf.sample_transform(t_rng) if self.use_transforms else tf.IDENTITY
+            ts = [tf.IDENTITY if "T" in ablate else tf.sample_transform(t_rng)
                   for _ in range(work.num_heads)]
             return head_probs(work, x, ts, train=True, rng=d_rng)
 
@@ -308,12 +287,11 @@ class MultiHeadAdapter(SegmentationEstimator):
             x = train.images[idx]
             terms = {}
             bundle = None
-            if self.use_pseudo_supervision:
+            if "TFS" not in ablate:
                 mean = np.stack([p.data for p in heads_pass(x)]).mean(axis=0,
                                                                        dtype=np.float32)
-                bundle = make_pseudo_label(mean, self.tau, cleanup=self.cleanup, step=step)
-                if not self.use_reliability:
-                    bundle.reliability = np.ones_like(bundle.reliability)
+                bundle = _pseudo_label(mean, tau, cfg.cleanup, step, stage="adapt",
+                                       epoch=epoch)
                 terms["reliable_fraction"] = bundle.reliable_fraction
             with Tape() as tape:
                 probs = heads_pass(x)
@@ -323,42 +301,34 @@ class MultiHeadAdapter(SegmentationEstimator):
                         raise RuntimeError("pseudo-label bundle is stale")
                     sup = multi_head_dice_loss(probs, bundle)
                     terms["loss"] = sup.item()
-                if self.use_mean_entropy:
+                if "LMENT" not in ablate:
                     ment = mean_prediction_entropy(probs)
                     terms["loss_entropy"] = ment.item()
                 if ment is None:
                     loss = sup
                 elif sup is None:
-                    loss = ment * self.entropy_weight
+                    loss = ment * cfg.entropy_weight
                 else:
-                    loss = combined_loss(sup, ment, self.entropy_weight)
+                    loss = combined_loss(sup, ment, cfg.entropy_weight)
                 _check_finite(loss.item(), stage="adapt", epoch=epoch, step=step,
                               loss_sup=terms.get("loss"),
                               loss_entropy=terms.get("loss_entropy"))
                 tape.backward(loss)
             return terms
 
-        predict_fn = lambda imgs: infer_ensemble(work, imgs, eval_rng, cleanup=self.cleanup)[0]
-        opt = Adam(work.parameter_groups("all"), self.lr)
+        predict_fn = lambda imgs: infer_ensemble(work, imgs, eval_rng, cleanup=cfg.cleanup)[0]
+        opt = Adam(work.parameter_groups("all"), cfg.lr)
         return self._fit_epochs(work, opt, train, val, step_fn, predict_fn=predict_fn)
-
-    def predict(self, images: np.ndarray) -> np.ndarray:
-        rng = SeedBundle(self.seed).stream("predict")
-        labels, _ = infer_ensemble(self.fitted_model, images, rng, cleanup=self.cleanup)
-        return labels
 
 
 class PtbnAdapter(SegmentationEstimator):
     """Forward passes in train mode so BN running statistics track the target
     distribution; parameters never change. One pass, file order."""
 
-    def __init__(self, model: SegModel = None, seed: int = 0):
-        self.model = model
-        self.seed = seed
+    def __init__(self, model: SegModel, seed: int):
+        self.model, self.seed = model, seed
 
     def fit(self, train: UnlabeledSet, val: LabeledSet | None = None):
-        if self.model is None:
-            raise ValueError("PtbnAdapter needs a pre-trained model")
         work = self.model.clone()
         t0 = time.monotonic()
         for c in range(train.n_cases):
@@ -385,19 +355,10 @@ class TentAdapter(SegmentationEstimator):
     bitwise frozen.
     """
 
-    def __init__(self, model: SegModel = None, lr: float = 1e-4, epochs: int = 20,
-                 batch="volume", seed: int = 0):
-        self.model = model
-        self.lr = lr
-        self.epochs = epochs
-        self.batch = batch
-        self.seed = seed
-
     def fit(self, train: UnlabeledSet, val: LabeledSet):
-        if self.model is None:
-            raise ValueError("TentAdapter needs a pre-trained model")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        lr = self.cfg.lr
+        if lr < 0:
+            raise ValueError(f"lr must be >= 0, got {lr}")
         work = self.model.clone()
         affine = set(id(t) for t in work.parameter_groups("bn_affine_only"))
         for t in work.parameter_groups("all"):
@@ -418,7 +379,7 @@ class TentAdapter(SegmentationEstimator):
             return {"loss_entropy": loss.item()}
 
         # lr 0 means observe-only: loss is logged, parameters never move
-        opt = Adam(work.parameter_groups("bn_affine_only"), self.lr) if self.lr > 0 else None
+        opt = Adam(work.parameter_groups("bn_affine_only"), lr) if lr > 0 else None
         return self._fit_epochs(work, opt, train, val, step_fn)
 
 
@@ -426,33 +387,22 @@ class SelfTrainAdapter(SegmentationEstimator):
     """Single head supervised by its own argmax pseudo labels plus entropy;
     no transforms, no reliability weighting, all parameters updated."""
 
-    def __init__(self, model: SegModel = None, entropy_weight: float = 1.0,
-                 lr: float = 1e-4, epochs: int = 20, batch="volume",
-                 cleanup: bool = True, seed: int = 0):
-        self.model = model
-        self.entropy_weight = entropy_weight
-        self.lr = lr
-        self.epochs = epochs
-        self.batch = batch
-        self.cleanup = cleanup
-        self.seed = seed
-
     def fit(self, train: UnlabeledSet, val: LabeledSet):
-        if self.model is None:
-            raise ValueError("SelfTrainAdapter needs a pre-trained model")
+        cfg = self.cfg
         work = self.model.clone()
 
         def step_fn(idx, epoch, step):
             with Tape() as tape:
                 p = work.forward_head(train.images[idx], 0, train=True)
-                bundle = make_pseudo_label(p.data, tau=None, cleanup=self.cleanup, step=step)
+                bundle = _pseudo_label(p.data, None, cfg.cleanup, step, stage="selftrain",
+                                       epoch=epoch)
                 sup = multi_head_dice_loss([p], bundle)
                 ment = mean_prediction_entropy([p])
-                loss = combined_loss(sup, ment, self.entropy_weight)
+                loss = combined_loss(sup, ment, cfg.entropy_weight)
                 _check_finite(loss.item(), stage="selftrain", epoch=epoch, step=step,
                               loss_sup=sup.item(), loss_entropy=ment.item())
                 tape.backward(loss)
             return {"loss": sup.item(), "loss_entropy": ment.item()}
 
-        opt = Adam(work.parameter_groups("all"), self.lr)
+        opt = Adam(work.parameter_groups("all"), cfg.lr)
         return self._fit_epochs(work, opt, train, val, step_fn)

@@ -41,13 +41,9 @@ def infer_single(model: SegModel, images: np.ndarray,
 
 
 def infer_ensemble(model: SegModel, images: np.ndarray, rng: np.random.Generator,
-                   cleanup: bool = True, transforms: list[SpatialTransform] | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   cleanup: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Each head predicts under one sampled transform (inverse-mapped); the
     mean map is argmaxed and cleaned. Returns (labels, mean_prob)."""
-    if transforms is None:
-        transforms = [sample_transform(rng) for _ in range(model.num_heads)]
-    if len(transforms) != model.num_heads:
-        raise ValueError(f"need one transform per head ({model.num_heads}), got {len(transforms)}")
+    transforms = [sample_transform(rng) for _ in range(model.num_heads)]
     mean_prob = ensemble_mean([p.data for p in head_probs(model, images, transforms)])
     return _labels_from(mean_prob, model.num_classes, cleanup), mean_prob

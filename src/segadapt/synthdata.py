@@ -152,21 +152,19 @@ def normalize_slice(img: np.ndarray) -> np.ndarray:
 SPLIT_RATIOS = (0.7, 0.1, 0.2)
 
 
-def split_counts(n_cases: int, ratios=SPLIT_RATIOS) -> tuple[int, int, int]:
+def split_counts(n_cases: int) -> tuple[int, int, int]:
     """Train/val/test case counts: floors for train and val, the rest test."""
-    n_train = int(math.floor(ratios[0] * n_cases))
-    n_val = int(math.floor(ratios[1] * n_cases))
+    n_train = int(math.floor(SPLIT_RATIOS[0] * n_cases))
+    n_val = int(math.floor(SPLIT_RATIOS[1] * n_cases))
     return n_train, n_val, n_cases - n_train - n_val
 
 
-def generate_domain(domain: DomainSpec, n_cases: int, ratios=SPLIT_RATIOS,
-                    seed: int = 0, size: int = 64) -> dict[str, LabeledSet]:
+def generate_domain(domain: DomainSpec, n_cases: int, seed: int = 0,
+                    size: int = 64) -> dict[str, LabeledSet]:
     """Deterministic train/val/test LabeledSets for one domain."""
-    if len(ratios) != 3 or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must be three numbers summing to 1")
-    n_train, n_val, n_test = split_counts(n_cases, ratios)
+    n_train, n_val, n_test = split_counts(n_cases)
     if min(n_train, n_val, n_test) < 1:
-        raise ValueError(f"n_cases={n_cases} too small for split {ratios}")
+        raise ValueError(f"n_cases={n_cases} too small for split {SPLIT_RATIOS}")
     rng = named_stream(seed, f"data.{domain.name}")
     split_sets: dict[str, LabeledSet] = {}
     counts = {"train": n_train, "val": n_val, "test": n_test}
@@ -198,12 +196,12 @@ BENCHMARKS = {
 }
 
 
-def generate_benchmark(name: str, n_cases: int, seed: int, size: int = 64,
-                       ratios=SPLIT_RATIOS) -> dict[str, dict[str, LabeledSet]]:
+def generate_benchmark(name: str, n_cases: int, seed: int,
+                       size: int = 64) -> dict[str, dict[str, LabeledSet]]:
     if name not in BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; known: {sorted(BENCHMARKS)}")
     src, tgt = BENCHMARKS[name]
     return {
-        "source": generate_domain(src, n_cases, ratios, seed, size),
-        "target": generate_domain(tgt, n_cases, ratios, seed, size),
+        "source": generate_domain(src, n_cases, seed, size),
+        "target": generate_domain(tgt, n_cases, seed, size),
     }

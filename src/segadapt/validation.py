@@ -6,18 +6,15 @@ from __future__ import annotations
 import numpy as np
 
 
-class NotFittedError(RuntimeError):
-    """Estimator used before fit()."""
-
-
 def check_prob_map(p: np.ndarray, atol: float = 1e-3) -> np.ndarray:
-    """[..., C, H, W] nonnegative, channel sums within atol of 1."""
+    """[..., C, H, W] nonnegative, channel sums within atol of 1; NaN fails."""
     p = np.asarray(p)
     if p.ndim < 3:
         raise ValueError(f"probability map must be [..., C, H, W], got shape {p.shape}")
-    if p.min() < -atol or p.max() > 1 + atol:
+    # negated so that NaN, which compares False, fails
+    if not (p.min() >= -atol and p.max() <= 1 + atol):
         raise ValueError("probability map values outside [0,1]")
-    if np.abs(p.sum(axis=-3) - 1.0).max() > atol:
+    if not np.abs(p.sum(axis=-3) - 1.0).max() <= atol:
         raise ValueError("probability map channels do not sum to 1")
     return p
 

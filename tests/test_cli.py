@@ -17,8 +17,10 @@ import pytest
 
 from segadapt import cli
 from segadapt.checkpoint import load_checkpoint, read_entries, save_checkpoint
-from segadapt.config import default_config, parse_config
+from segadapt.config import parse_config
 from segadapt.data import LabeledSet, load_dataset, save_dataset
+from segadapt.estimators import (FineTuner, MultiHeadAdapter, PtbnAdapter, SelfTrainAdapter,
+                                 SourceTrainer, TentAdapter)
 from segadapt.inference import infer_single
 from segadapt.pseudolabel import cleanup_label_map
 
@@ -181,6 +183,8 @@ class TestConfigErrors:
         ("data", "image_size", "0"), ("data", "image_size", "8"),
         ("data", "image_size", "30"),
         ("data", "n_cases", "9"), ("data", "n_cases", "0"), ("data", "n_cases", "-1"),
+        ("data", "n_cases", "100000000000"), ("data", "n_cases", "1001"),
+        ("data", "image_size", "1024"),
         ("data", "benchmark", "nope"),
     ])
     def test_out_of_range_pretrain_or_data_value_exits_2_naming_key(
@@ -260,6 +264,42 @@ class TestPretrain:
 METHODS = ["upl", "tent", "ptbn", "selftrain", "finetune-train", "finetune-valid",
            "target-only"]
 
+# every [pretrain] and [adapt] value off its default
+CUSTOM_CFG = """\
+[pretrain]
+epochs = 3
+lr = 0.02
+lr_decay = 0.5
+decay_every = 2
+batch = 4
+
+[adapt]
+heads = 3
+tau = 0.8
+entropy_weight = 0.5
+lr = 0.002
+epochs = 2
+batch = 5
+cleanup = false
+"""
+
+
+class Built(Exception):
+    """Raised in place of ``fit``; carries the estimator that was built."""
+
+
+def built_estimator(monkeypatch, argv):
+    """The estimator ``cli.main(argv)`` builds, stopped before it trains."""
+    def fit(self, *args):
+        raise Built(self)
+
+    for cls in (SourceTrainer, FineTuner, MultiHeadAdapter, PtbnAdapter, TentAdapter,
+                SelfTrainAdapter):
+        monkeypatch.setattr(cls, "fit", fit)
+    with pytest.raises(Built) as info:
+        cli.main(argv)
+    return info.value.args[0]
+
 
 @pytest.fixture(scope="module")
 def runs(ws):
@@ -310,14 +350,44 @@ class TestAdapt:
         assert rc == 2
         assert "XX" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("token,attr", sorted(cli.ABLATE_FLAGS.items()))
-    def test_ablate_token_disables_exactly_one_switch(self, ws, token, attr):
-        model, _ = load_checkpoint(ws.ckpt)
-        est = cli._build_adapter("upl", model, default_config(), 0, {token})
-        for flag in cli.ABLATE_FLAGS.values():
-            assert getattr(est, flag) is (flag != attr), flag
+    @pytest.mark.parametrize("tokens", ["M", "TDG", "T", "TFS", "LMENT", "M, TDG,T"])
+    def test_ablate_tokens_reach_the_adapter(self, ws, tmp_path, monkeypatch, tokens):
+        est = built_estimator(monkeypatch, [
+            "adapt", "--data", str(ws.data), "--out", str(tmp_path / "o"),
+            "--checkpoint", str(ws.ckpt), "--ablate", tokens])
+        assert isinstance(est, MultiHeadAdapter)
+        assert est.ablate == {t.strip() for t in tokens.split(",")}
 
-    def test_nan_checkpoint_exits_4_with_diagnostic_dump(self, ws, tmp_path, capsys):
+    def test_ablating_every_loss_term_exits_2(self, ws, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
+                       "--checkpoint", str(ws.ckpt), "--ablate", "TFS,LMENT"])
+        assert rc == 2
+        assert "nothing to optimize" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_estimator_is_built_on_the_ini_section(self, ws, tmp_path, monkeypatch, method):
+        cfg_path = tmp_path / "custom.cfg"
+        cfg_path.write_text(CUSTOM_CFG)
+        cfg = parse_config(cfg_path)
+        argv = ["adapt", "--data", str(ws.data), "--out", str(tmp_path / "o"),
+                "--config", str(cfg_path), "--method", method, "--seed", "6"]
+        if method != "target-only":
+            argv += ["--checkpoint", str(ws.ckpt)]
+        est = built_estimator(monkeypatch, argv)
+        assert est.seed == 6
+        if method == "target-only":
+            assert (type(est), est.cfg, est.num_classes) == (SourceTrainer, cfg.pretrain, 3)
+        elif method == "ptbn":  # reads no [adapt] value
+            assert type(est) is PtbnAdapter
+        else:
+            assert type(est) is cli.ADAPTERS[method]
+            assert est.cfg == cfg.adapt
+
+    @pytest.mark.parametrize("method,stage", [("selftrain", "selftrain"), ("upl", "adapt")])
+    def test_nan_checkpoint_exits_4_with_diagnostic_dump(self, ws, tmp_path, capsys,
+                                                         method, stage):
         model, _ = load_checkpoint(ws.ckpt)
         bad = model.named_parameters()["enc.l0.c1.w"]
         bad.data = np.full_like(bad.data, np.nan)
@@ -325,11 +395,11 @@ class TestAdapt:
         save_checkpoint(poisoned, model, epoch=0, seeds={"root": 0})
         out = tmp_path / "o"
         rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
-                       "--config", str(ws.cfg), "--method", "selftrain",
+                       "--config", str(ws.cfg), "--method", method,
                        "--checkpoint", str(poisoned)])
         assert rc == 4
         dump = json.loads((out / "nan_dump.json").read_text())
-        assert dump["stage"] == "selftrain"
+        assert dump["stage"] == stage
         assert {"epoch", "step", "loss"} <= set(dump)
         assert "nan_dump.json" in capsys.readouterr().err
 
@@ -559,15 +629,17 @@ def misfit_data(src, dst, change):
     for name in DATA_FILES:
         ds = load_dataset(src / name)
         images, labels = ds.images, ds.labels.copy()
-        if change == "34x34":  # not divisible by the 2 poolings
+        index, ids = ds.case_index, list(ds.case_ids)
+        if change == "0-slice":
+            images, labels, index, ids = images[:0], labels[:0], index[:0], []
+        elif change == "34x34":  # not divisible by the 2 poolings
             images = np.pad(images, ((0, 0), (0, 0), (1, 1), (1, 1)))
             labels = np.pad(labels, ((0, 0), (1, 1), (1, 1)))
         elif change == "2-channel":
             images = np.concatenate([images, images], axis=1)
         else:  # one pixel of class 3
             labels[0, 0, 0] = 3
-        save_dataset(dst / name, LabeledSet(images, ds.case_index, list(ds.case_ids),
-                                            labels=labels))
+        save_dataset(dst / name, LabeledSet(images, index, ids, labels=labels))
 
 
 class TestMisfitData:
@@ -578,6 +650,9 @@ class TestMisfitData:
         ("eval", "34x34", "target_test.upld"),
         ("eval", "2-channel", "target_test.upld"),
         ("adapt-finetune-train", "class-3", "target_train.upld"),
+        ("pretrain", "0-slice", "source_train.upld"),
+        ("adapt-upl", "0-slice", "target_train.upld"),
+        ("eval", "0-slice", "target_test.upld"),
     ])
     def test_exits_3_naming_the_file_before_any_output(self, ws, tmp_path, capsys,
                                                         command, change, named):

@@ -92,8 +92,6 @@ class TestGenerate:
     def test_too_few_cases_rejected(self):
         with pytest.raises(ValueError):
             generate_domain(small_domain(), n_cases=2, seed=5)
-        with pytest.raises(ValueError):
-            generate_domain(small_domain(), n_cases=10, ratios=(0.5, 0.25, 0.3))
 
     def test_same_seed_is_bitwise_identical(self):
         a = generate_domain(small_domain(), 10, seed=9, size=32)

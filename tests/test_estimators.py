@@ -1,12 +1,15 @@
 """Training, adaptation and baseline procedures plus eval-mode inference."""
 
 import hashlib
+import inspect
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import segadapt.estimators as est
+from segadapt.config import AdaptConfig, PretrainConfig
 from segadapt.data import LabeledSet, UnlabeledSet
 from segadapt.estimators import (
     FineTuner,
@@ -18,12 +21,11 @@ from segadapt.estimators import (
     iter_batches,
     validation_dice,
 )
-from segadapt.inference import infer_ensemble, infer_single
+from segadapt.inference import head_probs, infer_ensemble, infer_single
 from segadapt.model import ArchConfig, SegModel
-from segadapt.pseudolabel import make_pseudo_label
+from segadapt.pseudolabel import ensemble_mean, make_pseudo_label
 from segadapt.rng import SeedBundle
 from segadapt.transforms import IDENTITY
-from segadapt.validation import NotFittedError
 from _oracles import (
     cleanup_loop,
     conv2d_f64,
@@ -71,7 +73,7 @@ def toy_data():
 @pytest.fixture(scope="module")
 def pretrained(toy_data):
     train, val = toy_data
-    return SourceTrainer(epochs=4, lr=0.01, seed=7).fit(train, val).model_
+    return SourceTrainer(PretrainConfig(epochs=4, lr=0.01), 3, 7).fit(train, val).model_
 
 
 def fit_digest(fitted) -> str:
@@ -94,44 +96,43 @@ def fit_digest(fitted) -> str:
 # name -> (estimator from the pretrained model, fits on labeled data, digest)
 GOLDEN = {
     "source-volume": (
-        lambda m: SourceTrainer(epochs=2, seed=41), True,
+        lambda m: SourceTrainer(PretrainConfig(epochs=2), 3, 41), True,
         "1be56e3dc0c2e137f60f98fe33a41b3cb118c58d7fb12c7097481249f86b14c4"),
     "source-batch3": (
-        lambda m: SourceTrainer(epochs=2, batch=3, seed=41), True,
+        lambda m: SourceTrainer(PretrainConfig(epochs=2, batch="3"), 3, 41), True,
         "8af124f8521bf3c1345babfb67508c459e0d8669a7acba664ffd1a4285124e2d"),
     "source-0-epochs": (
-        lambda m: SourceTrainer(epochs=0, seed=41), True,
+        lambda m: SourceTrainer(PretrainConfig(epochs=0), 3, 41), True,
         "b8e820df81294ce8a3518cb3997775250909bd84ef4cee6fa9fb997573590aee"),
     "finetune": (
-        lambda m: FineTuner(model=m, epochs=2, lr=1e-3, seed=42), True,
+        lambda m: FineTuner(m, AdaptConfig(epochs=2, lr=1e-3), 42), True,
         "9ae600a6adb14f5c25436ecf4be0cd96221978584a884346e26d9cf99996748f"),
     "upl": (
-        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3, seed=43), False,
+        lambda m: MultiHeadAdapter(m, AdaptConfig(heads=2, epochs=2, lr=1e-3), 43), False,
         "31880f44913f547f877bb57381951f51aceaa036ade3ca7ffaa801892426acf5"),
     "upl-no-entropy": (
-        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3,
-                                   use_mean_entropy=False, seed=43), False,
+        lambda m: MultiHeadAdapter(m, AdaptConfig(heads=2, epochs=2, lr=1e-3), 43,
+                                   {"LMENT"}), False,
         "0ab0bf6ec4ef85e0ca6f01679ed44dc28e04934b2dd9bb48b4c619bccdfe307d"),
     "upl-no-pseudo": (
-        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3,
-                                   use_pseudo_supervision=False, seed=43), False,
+        lambda m: MultiHeadAdapter(m, AdaptConfig(heads=2, epochs=2, lr=1e-3), 43,
+                                   {"TFS"}), False,
         "287228bcad66e3c8cdd13e57957053cbfcc0b6666014d10df4cc32ca805c36b3"),
     "upl-no-M-TDG-T-batch2": (
-        lambda m: MultiHeadAdapter(model=m, heads=2, epochs=2, lr=1e-3, batch=2,
-                                   use_reliability=False, use_dropout=False,
-                                   use_transforms=False, seed=43), False,
+        lambda m: MultiHeadAdapter(m, AdaptConfig(heads=2, epochs=2, lr=1e-3, batch="2"), 43,
+                                   {"M", "TDG", "T"}), False,
         "cce435f3a7dea828c2d6e82dd1a0a73977a75fbf8eb22b231798287976d23d93"),
     "tent": (
-        lambda m: TentAdapter(model=m, lr=1e-3, epochs=2, seed=44), False,
+        lambda m: TentAdapter(m, AdaptConfig(lr=1e-3, epochs=2), 44), False,
         "33fcf27dd2a31968b78c4dda150ef8443b1d88e9d66d9e47c97b577550746660"),
     "tent-lr0": (
-        lambda m: TentAdapter(model=m, lr=0.0, epochs=2, seed=44), False,
+        lambda m: TentAdapter(m, AdaptConfig(lr=0.0, epochs=2), 44), False,
         "3462c4a231217f5428f5fb96bf8ee4a1042bdfe9a4614ba2d4e3fa81e2702dfc"),
     "ptbn": (
-        lambda m: PtbnAdapter(model=m, seed=45), False,
+        lambda m: PtbnAdapter(m, 45), False,
         "068518e444456191fed7aca68a2d526fe1a4cb24870a396b78a25bb8c0173990"),
     "selftrain": (
-        lambda m: SelfTrainAdapter(model=m, epochs=2, lr=1e-3, seed=46), False,
+        lambda m: SelfTrainAdapter(m, AdaptConfig(epochs=2, lr=1e-3), 46), False,
         "ef25a0569957365216372d92f6fa94063d519f6b96765d6d2cec9cd0917f7545"),
 }
 
@@ -143,6 +144,19 @@ def test_golden_fit_digest(name, toy_data, pretrained):
     train, val = toy_data
     fitted = make(pretrained).fit(train if labeled else train.drop_labels(), val)
     assert fit_digest(fitted) == digest, name
+
+
+def test_constructors_declare_no_config_field():
+    """Hyperparameters and their defaults live in config.py only, and a
+    fitted estimator exposes ``model_``, not a predict surface."""
+    owned = {f.name for section in (PretrainConfig, AdaptConfig) for f in fields(section)}
+    classes = [c for c in vars(est).values()
+               if isinstance(c, type) and issubclass(c, est.SegmentationEstimator)]
+    assert len(classes) == 7  # the base and its six procedures
+    for cls in classes:
+        params = set(inspect.signature(cls).parameters)
+        assert not params & owned, (cls.__name__, sorted(params & owned))
+        assert not hasattr(cls, "predict") and not hasattr(cls, "fitted_model"), cls
 
 
 class TestBatching:
@@ -186,12 +200,13 @@ class TestValidationDice:
 class TestSourceTrainer:
     def test_loss_decreases_on_separable_data(self, toy_data, pretrained):
         train, val = toy_data
-        records = SourceTrainer(epochs=4, lr=0.01, seed=7).fit(train, val).log_.records
+        t = SourceTrainer(PretrainConfig(epochs=4, lr=0.01), 3, 7)
+        records = t.fit(train, val).log_.records
         assert records[-1].loss < records[0].loss
 
     def test_lr_schedule_steps_every_four_epochs(self, toy_data):
         train, val = toy_data
-        t = SourceTrainer(epochs=8, lr=0.01, lr_decay=0.9, decay_every=4, seed=2)
+        t = SourceTrainer(PretrainConfig(epochs=8, lr=0.01, lr_decay=0.9, decay_every=4), 3, 2)
         lrs = [r.lr for r in t.fit(train, val).log_.records]
         assert lrs[:4] == [0.01] * 4
         assert all(abs(v - 0.009) < 1e-12 for v in lrs[4:])
@@ -204,16 +219,16 @@ class TestSourceTrainer:
             return lambda predict_fn, v, c: (next(it), [0.0])
 
         monkeypatch.setattr(est, "validation_dice", scripted([0.1, 0.9, 0.2, 0.3]))
-        a = SourceTrainer(epochs=4, seed=5).fit(train, val)
+        a = SourceTrainer(PretrainConfig(epochs=4), 3, 5).fit(train, val)
         monkeypatch.setattr(est, "validation_dice", scripted([0.1, 0.9]))
-        b = SourceTrainer(epochs=2, seed=5).fit(train, val)
+        b = SourceTrainer(PretrainConfig(epochs=2), 3, 5).fit(train, val)
         assert a.best_epoch_ == b.best_epoch_ == 1
         assert a.best_val_dice_ == 0.9
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, params_of(b.model_)[n]), n
 
         monkeypatch.setattr(est, "validation_dice", scripted([0.1, 0.2, 0.3, 0.9]))
-        c = SourceTrainer(epochs=4, seed=5).fit(train, val)
+        c = SourceTrainer(PretrainConfig(epochs=4), 3, 5).fit(train, val)
         assert c.best_epoch_ == 3
         assert any(
             not np.array_equal(arr, params_of(c.model_)[n])
@@ -225,14 +240,14 @@ class TestSourceTrainer:
         vals = iter([0.5, 0.8, 0.8])
         monkeypatch.setattr(est, "validation_dice",
                             lambda predict_fn, v, c: (next(vals), [0.0]))
-        t = SourceTrainer(epochs=3, seed=6).fit(train, val)
+        t = SourceTrainer(PretrainConfig(epochs=3), 3, 6).fit(train, val)
         assert t.best_epoch_ == 1
 
     def test_zero_epochs_returns_the_fresh_init_ignoring_data(self, toy_data):
         train, val = toy_data
         other = square_set(9, n_cases=3, n_slices=2)
-        a = SourceTrainer(epochs=0, seed=11).fit(train, val).model_
-        b = SourceTrainer(epochs=0, seed=11).fit(other, val).model_
+        a = SourceTrainer(PretrainConfig(epochs=0), 3, 11).fit(train, val).model_
+        b = SourceTrainer(PretrainConfig(epochs=0), 3, 11).fit(other, val).model_
         raw = SegModel(ArchConfig(), SeedBundle(11).stream("init"))
         for n, arr in params_of(a).items():
             assert np.array_equal(arr, params_of(b)[n])
@@ -240,15 +255,15 @@ class TestSourceTrainer:
 
     def test_deterministic_refit(self, toy_data):
         train, val = toy_data
-        a = SourceTrainer(epochs=2, seed=13).fit(train, val)
-        b = SourceTrainer(epochs=2, seed=13).fit(train, val)
+        a = SourceTrainer(PretrainConfig(epochs=2), 3, 13).fit(train, val)
+        b = SourceTrainer(PretrainConfig(epochs=2), 3, 13).fit(train, val)
         assert a.log_.to_jsonl() == b.log_.to_jsonl()
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, params_of(b.model_)[n])
 
     def test_log_is_parseable_jsonl_without_wall_time(self, toy_data):
         train, val = toy_data
-        t = SourceTrainer(epochs=2, seed=14).fit(train, val)
+        t = SourceTrainer(PretrainConfig(epochs=2), 3, 14).fit(train, val)
         lines = t.log_.to_jsonl().strip().split("\n")
         assert len(lines) == 2
         for i, line in enumerate(lines):
@@ -258,41 +273,27 @@ class TestSourceTrainer:
             assert set(rec) == {"epoch", "loss", "loss_entropy", "val_dice",
                                 "val_dice_mean", "reliable_fraction", "lr"}
 
-    def test_not_fitted_error(self):
-        with pytest.raises(NotFittedError):
-            SourceTrainer().predict(np.zeros((1, 1, 16, 16), np.float32))
-
-    def test_predict_and_score_after_fit(self, toy_data, pretrained):
-        train, val = toy_data
-        t = SourceTrainer(epochs=1, seed=15).fit(train, val)
-        labels = t.predict(val.images)
-        assert labels.shape == (len(val), 16, 16)
-
 
 class TestMultiHeadAdapter:
     def test_preconditions(self, toy_data, pretrained):
         train, val = toy_data
         target = train.drop_labels()
-        with pytest.raises(ValueError):
-            MultiHeadAdapter(model=None).fit(target, val)
-        with pytest.raises(ValueError):
-            MultiHeadAdapter(model=pretrained.grow(2)).fit(target, val)
-        with pytest.raises(ValueError):
-            MultiHeadAdapter(model=pretrained, use_pseudo_supervision=False,
-                             use_mean_entropy=False).fit(target, val)
+        with pytest.raises(ValueError, match="single-head"):
+            MultiHeadAdapter(pretrained.grow(2), AdaptConfig(), 0).fit(target, val)
+        with pytest.raises(ValueError, match="nothing to optimize"):
+            MultiHeadAdapter(pretrained, AdaptConfig(), 0, {"TFS", "LMENT"})
+        with pytest.raises(ValueError, match="XX"):
+            MultiHeadAdapter(pretrained, AdaptConfig(), 0, {"M", "XX"})
 
     def test_fit_grows_heads_and_logs_all_terms(self, toy_data, pretrained):
         train, val = toy_data
-        a = MultiHeadAdapter(model=pretrained, heads=4, epochs=1, seed=21)
+        a = MultiHeadAdapter(pretrained, AdaptConfig(heads=4, epochs=1), 21)
         a.fit(train.drop_labels(), val)
         assert a.model_.num_heads == 4
         assert pretrained.num_heads == 1  # input untouched
         rec = a.log_.records[0]
         assert rec.loss is not None and rec.loss_entropy is not None
         assert 0.0 <= rec.reliable_fraction <= 1.0
-        labels = a.predict(val.images)
-        assert labels.shape == (len(val), 16, 16)
-        assert np.array_equal(labels, a.predict(val.images))  # fresh eval stream
 
     def test_everything_masked_and_no_entropy_leaves_parameters_frozen(self, toy_data, pretrained):
         train, val = toy_data
@@ -300,8 +301,7 @@ class TestMultiHeadAdapter:
         numb.named_parameters()["head0.out.w"].data[:] = 0.0
         numb.named_parameters()["head0.out.b"].data[:] = 0.0
         before = params_of(numb)
-        a = MultiHeadAdapter(model=numb, heads=4, tau=0.95, epochs=2,
-                             use_mean_entropy=False, seed=22)
+        a = MultiHeadAdapter(numb, AdaptConfig(heads=4, tau=0.95, epochs=2), 22, {"LMENT"})
         a.fit(train.drop_labels(), val)
         after = {n: t.data for n, t in a.model_.named_parameters().items()}
         for n, arr in after.items():
@@ -318,17 +318,16 @@ class TestMultiHeadAdapter:
 
         monkeypatch.setattr(est, "make_pseudo_label", stale)
         with pytest.raises(RuntimeError, match="stale"):
-            MultiHeadAdapter(model=pretrained, epochs=1, seed=23).fit(
+            MultiHeadAdapter(pretrained, AdaptConfig(epochs=1), 23).fit(
                 train.drop_labels(), val)
 
     def test_toggles_off_single_head_matches_selftrain_step(self, pretrained):
         data = square_set(25, n_cases=1, n_slices=2)
         target, val = data.drop_labels(), data
-        upl = MultiHeadAdapter(model=pretrained, heads=1, epochs=1,
-                               use_reliability=False, use_dropout=False,
-                               use_transforms=False, seed=26)
+        upl = MultiHeadAdapter(pretrained, AdaptConfig(heads=1, epochs=1), 26,
+                               {"M", "TDG", "T"})
         upl.fit(target, val)
-        st = SelfTrainAdapter(model=pretrained, epochs=1, seed=26)
+        st = SelfTrainAdapter(pretrained, AdaptConfig(epochs=1), 26)
         st.fit(target, val)
         stp = params_of(st.model_)
         for n, arr in params_of(upl.model_).items():
@@ -336,29 +335,26 @@ class TestMultiHeadAdapter:
 
     def test_reliability_toggle_marks_everything_reliable(self, toy_data, pretrained):
         train, val = toy_data
-        a = MultiHeadAdapter(model=pretrained, heads=2, epochs=1,
-                             use_reliability=False, seed=27)
+        a = MultiHeadAdapter(pretrained, AdaptConfig(heads=2, epochs=1), 27, {"M"})
         a.fit(train.drop_labels(), val)
         assert a.log_.records[0].reliable_fraction == 1.0
 
     def test_loss_term_toggles_reflected_in_the_log(self, toy_data, pretrained):
         train, val = toy_data
-        no_sup = MultiHeadAdapter(model=pretrained, heads=2, epochs=1,
-                                  use_pseudo_supervision=False, seed=28)
+        no_sup = MultiHeadAdapter(pretrained, AdaptConfig(heads=2, epochs=1), 28, {"TFS"})
         no_sup.fit(train.drop_labels(), val)
         rec = no_sup.log_.records[0]
         assert rec.loss is None and rec.reliable_fraction is None
         assert rec.loss_entropy is not None
 
-        no_ent = MultiHeadAdapter(model=pretrained, heads=2, epochs=1,
-                                  use_mean_entropy=False, seed=28)
+        no_ent = MultiHeadAdapter(pretrained, AdaptConfig(heads=2, epochs=1), 28, {"LMENT"})
         no_ent.fit(train.drop_labels(), val)
         assert no_ent.log_.records[0].loss_entropy is None
 
     def test_deterministic_refit(self, toy_data, pretrained):
         train, val = toy_data
-        a = MultiHeadAdapter(model=pretrained, heads=2, epochs=1, seed=29)
-        b = MultiHeadAdapter(model=pretrained, heads=2, epochs=1, seed=29)
+        a = MultiHeadAdapter(pretrained, AdaptConfig(heads=2, epochs=1), 29)
+        b = MultiHeadAdapter(pretrained, AdaptConfig(heads=2, epochs=1), 29)
         a.fit(train.drop_labels(), val)
         b.fit(train.drop_labels(), val)
         assert a.log_.to_jsonl() == b.log_.to_jsonl()
@@ -370,7 +366,7 @@ class TestMultiHeadAdapter:
 class TestPtbn:
     def test_zero_batches_leave_the_model_bitwise_unchanged(self, pretrained):
         empty = UnlabeledSet(np.zeros((0, 1, 16, 16), np.float32), np.zeros(0, int), [])
-        a = PtbnAdapter(model=pretrained).fit(empty)
+        a = PtbnAdapter(pretrained, 0).fit(empty)
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, params_of(pretrained)[n])
         ref = bn_state_of(pretrained)
@@ -380,7 +376,7 @@ class TestPtbn:
 
     def test_only_bn_statistics_move(self, toy_data, pretrained):
         train, val = toy_data
-        a = PtbnAdapter(model=pretrained).fit(train.drop_labels(), val)
+        a = PtbnAdapter(pretrained, 0).fit(train.drop_labels(), val)
         ref = params_of(pretrained)
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, ref[n]), n  # gamma/beta included
@@ -391,7 +387,7 @@ class TestPtbn:
 
     def test_first_layer_stats_match_streaming_oracle(self, toy_data, pretrained):
         train, val = toy_data
-        a = PtbnAdapter(model=pretrained).fit(train.drop_labels(), val)
+        a = PtbnAdapter(pretrained, 0).fit(train.drop_labels(), val)
         w = pretrained.named_parameters()["enc.l0.c1.w"].data
         b = pretrained.named_parameters()["enc.l0.c1.b"].data
         batches = [conv2d_f64(train.images[train.case_slices(c)], w, b)
@@ -409,15 +405,19 @@ class TestPtbn:
 
     def test_validation_recorded_when_given(self, toy_data, pretrained):
         train, val = toy_data
-        a = PtbnAdapter(model=pretrained).fit(train.drop_labels(), val)
+        a = PtbnAdapter(pretrained, 0).fit(train.drop_labels(), val)
         assert len(a.log_.records) == 1
         assert 0.0 <= a.best_val_dice_ <= 1.0
 
 
+def tent(pretrained, toy_data, **cfg):
+    train, val = toy_data
+    return TentAdapter(pretrained, AdaptConfig(**cfg), 0).fit(train.drop_labels(), val)
+
+
 class TestTent:
     def test_only_bn_affine_parameters_move(self, toy_data, pretrained):
-        train, val = toy_data
-        a = TentAdapter(model=pretrained, lr=1e-3, epochs=3).fit(train.drop_labels(), val)
+        a = tent(pretrained, toy_data, lr=1e-3, epochs=3)
         ref = params_of(pretrained)
         affine_names = {n for n in ref if n.endswith(".gamma") or n.endswith(".beta")}
         moved = []
@@ -430,8 +430,7 @@ class TestTent:
         assert moved  # entropy gradient actually reached gamma/beta
 
     def test_running_stats_stay_frozen(self, toy_data, pretrained):
-        train, val = toy_data
-        a = TentAdapter(model=pretrained, lr=1e-3, epochs=2).fit(train.drop_labels(), val)
+        a = tent(pretrained, toy_data, lr=1e-3, epochs=2)
         ref = bn_state_of(pretrained)
         for n, (rm, rv, nb) in bn_state_of(a.model_).items():
             assert np.array_equal(rm, ref[n][0])
@@ -439,18 +438,16 @@ class TestTent:
             assert nb == ref[n][2]
 
     def test_lr_zero_changes_nothing(self, toy_data, pretrained):
-        train, val = toy_data
-        a = TentAdapter(model=pretrained, lr=0.0, epochs=2).fit(train.drop_labels(), val)
+        a = tent(pretrained, toy_data, lr=0.0, epochs=2)
         ref = params_of(pretrained)
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, ref[n]), n
         assert len(a.log_.records) == 2
         with pytest.raises(ValueError):
-            TentAdapter(model=pretrained, lr=-1e-4).fit(train.drop_labels(), val)
+            tent(pretrained, toy_data, lr=-1e-4)
 
     def test_entropy_objective_goes_down(self, toy_data, pretrained):
-        train, val = toy_data
-        a = TentAdapter(model=pretrained, lr=1e-3, epochs=4).fit(train.drop_labels(), val)
+        a = tent(pretrained, toy_data, lr=1e-3, epochs=4)
         ent = [r.loss_entropy for r in a.log_.records]
         assert ent[-1] <= ent[0] + 1e-6
 
@@ -458,8 +455,8 @@ class TestTent:
 class TestSelfTrain:
     def test_single_head_and_determinism(self, toy_data, pretrained):
         train, val = toy_data
-        a = SelfTrainAdapter(model=pretrained, epochs=1, seed=31)
-        b = SelfTrainAdapter(model=pretrained, epochs=1, seed=31)
+        a = SelfTrainAdapter(pretrained, AdaptConfig(epochs=1), 31)
+        b = SelfTrainAdapter(pretrained, AdaptConfig(epochs=1), 31)
         a.fit(train.drop_labels(), val)
         b.fit(train.drop_labels(), val)
         assert a.model_.num_heads == 1
@@ -473,7 +470,7 @@ class TestSelfTrain:
 class TestFineTuner:
     def test_zero_epochs_is_the_identity(self, toy_data, pretrained):
         train, val = toy_data
-        f = FineTuner(model=pretrained, epochs=0).fit(train, val)
+        f = FineTuner(pretrained, AdaptConfig(epochs=0), 0).fit(train, val)
         ref = params_of(pretrained)
         for n, arr in params_of(f.model_).items():
             assert np.array_equal(arr, ref[n]), n
@@ -483,33 +480,20 @@ class TestFineTuner:
 
     def test_training_moves_parameters_at_constant_lr(self, toy_data, pretrained):
         train, val = toy_data
-        f = FineTuner(model=pretrained, epochs=2, lr=1e-3, seed=32).fit(train, val)
+        f = FineTuner(pretrained, AdaptConfig(epochs=2, lr=1e-3), 32).fit(train, val)
         ref = params_of(pretrained)
         assert any(not np.array_equal(arr, ref[n]) for n, arr in params_of(f.model_).items())
         assert [r.lr for r in f.log_.records] == [1e-3, 1e-3]
-
-    def test_model_required(self, toy_data):
-        train, val = toy_data
-        with pytest.raises(ValueError):
-            FineTuner(model=None).fit(train, val)
 
 
 class TestInference:
     def test_identity_forced_ensemble_equals_single_head(self, toy_data, pretrained):
         _, val = toy_data
         grown = pretrained.grow(3)
-        labels_e, mean_prob = infer_ensemble(
-            grown, val.images, np.random.default_rng(0), transforms=[IDENTITY] * 3)
-        labels_s, probs = infer_single(grown, val.images)
-        assert np.array_equal(labels_e, labels_s)
+        mean_prob = ensemble_mean([p.data for p in head_probs(grown, val.images,
+                                                               [IDENTITY] * 3)])
+        _, probs = infer_single(grown, val.images)
         assert np.array_equal(mean_prob, probs)
-
-    def test_transform_count_must_match_heads(self, toy_data, pretrained):
-        _, val = toy_data
-        grown = pretrained.grow(2)
-        with pytest.raises(ValueError):
-            infer_ensemble(grown, val.images, np.random.default_rng(0),
-                           transforms=[IDENTITY])
 
     def test_ensemble_deterministic_given_seed(self, toy_data, pretrained):
         _, val = toy_data

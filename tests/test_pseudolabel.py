@@ -15,6 +15,7 @@ from segadapt.pseudolabel import (
     reliability_map,
     write_pgm,
 )
+from segadapt.validation import check_prob_map
 from _oracles import cleanup_loop, flood_fill_components, mean_longdouble
 
 
@@ -53,6 +54,17 @@ class TestEnsembleMean:
         maps = random_prob_maps(3)
         with pytest.raises(ValueError):
             ensemble_mean([maps[0], maps[1][:, :4]])
+
+
+@pytest.mark.parametrize("check", [
+    check_prob_map,
+    lambda p: ensemble_mean([p]),
+    lambda p: make_pseudo_label(p, tau=0.9),
+], ids=["check_prob_map", "ensemble_mean", "make_pseudo_label"])
+def test_nan_probability_map_rejected(check):
+    # every comparison with NaN is False, so a range check must fail on it
+    with pytest.raises(ValueError):
+        check(np.full((1, 3, 2, 2), np.nan, np.float32))
 
 
 class TestReliabilityMap:
