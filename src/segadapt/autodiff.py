@@ -4,8 +4,7 @@ A ``Tensor`` wraps a float32 ndarray. Gradients are recorded on an explicit
 ``Tape``: ops append backward steps while a tape is active, and
 ``Tape.backward(scalar)`` replays them in reverse. With no active tape every
 op is a plain forward computation (the no-tape mode used by pseudo-label
-passes and inference). Tapes are per forward pass and discarded after use;
-the module is single-threaded by contract.
+passes and inference). Tapes are per forward pass and discarded after use.
 
 Every primitive is written the same way: compute the forward value from the
 inputs' ``.data``, then return ``_node(value, parents, grads)``. ``parents``
@@ -13,15 +12,63 @@ are the input Tensors, and ``grads`` maps the output's gradient to one
 gradient per parent, in parent order (``None`` for one that needs no work).
 ``_node`` alone decides whether the output requires grad, records the
 backward step on the active tape and accumulates the parents' gradients.
+
+Public calls come from one thread at a time. Work splits over at most two
+threads (``_pool_width``): the calling thread and a persistent pool worker,
+which takes only private closures, conv2d's slice blocks and the replay of
+a tape's head segments (``Segment``). A thread already running a share of
+split work never waits on the pool; what it would split runs inline. Work
+is split only where the split cannot change a bit:
+
+- no GEMM's reduction dimension is split: a slice block of conv2d's output
+  rows, or of its input-gradient columns, is computed by the same kernel
+  over the same reduction as in one GEMM over the batch;
+- gradients of tensors that a head segment did not produce (the parameters
+  it shares with other heads) are kept in that segment's sink, and the sinks
+  are merged in the serial replay order, copying the first gradient and
+  adding the rest as ``_node`` does.
+
+So results are identical at any pool width, and to a serial replay.
 """
 
 from __future__ import annotations
+
+import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 DTYPE = np.float32
 
 _ACTIVE_TAPE = None
+_TAPE_SERIAL = itertools.count()
+
+
+def _pool_width() -> int:
+    """Threads that split work: at most two, and at most the CPUs this
+    process may run on (its affinity mask) divided by the threads of one BLAS
+    call. BLAS runs a thread per CPU unless its environment says otherwise,
+    and GEMMs from two threads would then only contend for the same cores."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads = os.environ.get(var, "")
+        if threads.isdigit() and int(threads) > 0:
+            return max(1, min(2, (cpus or 1) // int(threads)))
+    return 1
+
+
+_WORKERS = _pool_width()
+_pool = None  # _WORKERS - 1 threads, made on first use and kept for the process
+_local = threading.local()  # per thread: ``busy`` flag and scratch buffers
+# a thread's share of a conv2d below this many FLOPs runs inline: dispatch
+# costs about as much as a share this size
+_MIN_SHARE_FLOP = 15e6
+# head segments replay inline when one made fewer tensor elements than this
+_MIN_SEGMENT_SIZE = 500_000
+# conv2d's column block aims at this size, so that it stays in a core's L2
+_BLOCK_BYTES = 1 << 20
 
 
 def _asarray(x) -> np.ndarray:
@@ -32,12 +79,13 @@ def _asarray(x) -> np.ndarray:
 class Tensor:
     """float32 array with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "_block")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _asarray(data)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self._block = None  # (tape serial, block index) of the step that made it
 
     @property
     def shape(self):
@@ -90,15 +138,73 @@ def as_tensor(x) -> Tensor:
     return Tensor(x)
 
 
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS - 1, "segadapt", initializer=setattr,
+                                   initargs=(_local, "busy", True))
+    return _pool
+
+
+def _each(fn, items, split: bool = True, first=None):
+    """Call ``first()``, if given, and ``fn(item)`` for every item, in any
+    order. With ``split`` set, the caller runs ``first`` and then takes items
+    while the pool's workers take the rest, unless there is no pool or the
+    caller is already running a share of split work; otherwise everything
+    runs inline and in order. Returns the result of ``first``."""
+    it = iter(items)  # drained by every thread: next() on it holds the GIL
+
+    def drain():
+        for item in it:
+            fn(item)
+
+    if not split or _WORKERS < 2 or getattr(_local, "busy", False):
+        out = first() if first is not None else None
+        drain()
+        return out
+    futures = [_executor().submit(drain) for _ in range(_WORKERS - 1)]
+    _local.busy = True
+    try:
+        out = first() if first is not None else None
+        drain()
+    finally:
+        _local.busy = False
+        wait(futures)  # no worker still writes once an error propagates
+    for f in futures:
+        f.result()
+    return out
+
+
+def _scratch(name: str, shape) -> np.ndarray:
+    """This thread's reusable float32 buffer ``name``, viewed as ``shape``
+    (contents undefined). Kept across calls, so a block loop faults no pages."""
+    n = int(np.prod(shape))
+    buf = getattr(_local, name, None)
+    if buf is None or buf.size < n:
+        buf = np.empty(n, DTYPE)
+        setattr(_local, name, buf)
+    return buf[:n].reshape(shape)
+
+
 class Tape:
     """Ordered record of backward steps for one forward pass.
 
     Use as a context manager; nesting is not supported. ``backward`` may be
     called once, after which the tape should be dropped.
+
+    Steps are kept in blocks: each ``Segment`` is one block, and so is each
+    run of steps recorded outside segments. A segment's steps read only
+    leaves and the segment's own tensors, so after the steps outside
+    segments have been replayed (on the calling thread), the segments replay
+    concurrently.
     """
 
     def __init__(self):
-        self._nodes = []
+        self._serial = next(_TAPE_SERIAL)
+        self._blocks = []  # lists of steps, in recording order
+        self._sizes = []  # per block: elements of the tensors its steps made
+        self._heads = []  # indices of the blocks that are segments
+        self._segment = None  # index of the open segment
         self._used = False
 
     def __enter__(self):
@@ -114,7 +220,24 @@ class Tape:
         return False
 
     def __len__(self):
-        return len(self._nodes)
+        return sum(len(steps) for steps in self._blocks)
+
+    def _record(self, step, parents, size: int) -> tuple:
+        """Append ``step`` to the current block; return the block's mark. A
+        segment's step may not read a tensor made on this tape outside it."""
+        if self._segment is not None:
+            i = self._segment
+            for p in parents:
+                if p._block is not None and p._block[0] == self._serial and p._block[1] != i:
+                    raise RuntimeError("a tape segment read a tensor made outside it")
+        else:
+            if not self._blocks or len(self._blocks) - 1 in self._heads:
+                self._blocks.append([])
+                self._sizes.append(0)
+            i = len(self._blocks) - 1
+        self._blocks[i].append(step)
+        self._sizes[i] += size
+        return self._serial, i
 
     def backward(self, loss: Tensor):
         """Seed d(loss)/d(loss)=1 and accumulate gradients into leaves."""
@@ -124,8 +247,47 @@ class Tape:
             raise RuntimeError("tape already replayed; build a fresh tape per step")
         self._used = True
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._nodes):
-            fn()
+        if not self._heads:
+            for steps in reversed(self._blocks):
+                for fn in reversed(steps):
+                    fn(None)
+            return
+        # each block's leaf gradients wait in its sink, in replay order
+        sinks = [[] for _ in self._blocks]
+
+        def replay(i):
+            for fn in reversed(self._blocks[i]):
+                fn(sinks[i])
+
+        for i in reversed(range(len(self._blocks))):
+            if i not in self._heads:
+                replay(i)
+        _each(replay, reversed(self._heads), len(self._heads) > 1
+              and min(self._sizes[i] for i in self._heads) >= _MIN_SEGMENT_SIZE)
+        for sink in reversed(sinks):
+            for p, g in sink:
+                p.grad = g.astype(DTYPE, copy=True) if p.grad is None else p.grad + g
+
+
+class Segment:
+    """Context in which the active tape records one head's subgraph as its
+    own block; does nothing without an active tape. Segments do not nest."""
+
+    def __enter__(self):
+        self._tape = tape = _ACTIVE_TAPE
+        if tape is not None:
+            if tape._segment is not None:
+                raise RuntimeError("tape segments do not nest")
+            tape._segment = len(tape._blocks)
+            tape._heads.append(tape._segment)
+            tape._blocks.append([])
+            tape._sizes.append(0)
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._tape is not None:
+            self._tape._segment = None
+        return False
 
 
 def _node(data, parents, grads) -> Tensor:
@@ -136,19 +298,27 @@ def _node(data, parents, grads) -> Tensor:
     the output received no gradient; otherwise ``grads(out.grad)`` yields one
     gradient per parent, in parent order, and each one that is not None is
     accumulated into its parent if that parent requires grad (the first one
-    is copied). This is the only place that appends to a tape.
+    is copied). Replayed with a sink, a gradient for a parent this tape did
+    not make is appended to the sink instead. This is the only place that
+    appends to a tape.
     """
     out = Tensor(data, any(p.requires_grad for p in parents))
-    if _ACTIVE_TAPE is not None and out.requires_grad:
+    tape = _ACTIVE_TAPE
+    if tape is not None and out.requires_grad:
+        serial = tape._serial
 
-        def step():
+        def step(sink):
             if out.grad is None:
                 return
             for p, g in zip(parents, grads(out.grad)):
-                if g is not None and p.requires_grad:
+                if g is None or not p.requires_grad:
+                    continue
+                if sink is not None and (p._block is None or p._block[0] != serial):
+                    sink.append((p, g))
+                else:
                     p.grad = g.astype(DTYPE, copy=True) if p.grad is None else p.grad + g
 
-        _ACTIVE_TAPE._nodes.append(step)
+        out._block = tape._record(step, parents, out.data.size)
     return out
 
 
@@ -210,11 +380,6 @@ def clamp_min(a, lo: float) -> Tensor:
     a = as_tensor(a)
     return _node(np.maximum(a.data, DTYPE(lo)), (a,),
                  lambda g: (g * (a.data > lo).astype(DTYPE),))
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(np.maximum(a.data, 0), (a,), lambda g: (g * (a.data > 0).astype(DTYPE),))
 
 
 def leaky_relu(a, alpha: float = 0.01) -> Tensor:
@@ -309,19 +474,30 @@ def conv2d(x, w, b=None) -> Tensor:
 
     x: [B,Cin,H,W], w: [Cout,Cin,k,k], b: [Cout] or None. Output [B,Cout,H,W].
 
-    One code path for every shape and kernel size. The column matrix is
-    channel-major, ``cols[Cin*k*k, B*H*W]``: row (c, i, j) is input plane c of
-    the zero-padded input shifted by (i, j), so building it copies runs of W
-    contiguous floats. Forward is one sgemm, ``cols.T @ w2d.T``, whose
-    [B*H*W, Cout] result is the output in channels-last memory (a transposed
-    view). Backward recomputes ``cols`` instead of keeping it on the tape
-    (peak memory stays that of the input), takes dw = g2d @ cols.T and
-    dcols = w2d.T @ g2d with g2d = [Cout, B*H*W], and folds dcols back
-    (col2im) by k*k slice-adds into a padded [Cin, B, H+2p, W+2p] buffer in
-    (i, j) order. The input gradient is then copied into channels-last memory,
-    the layout the forward output has: numpy's reductions over it (BatchNorm,
-    bias) sum in memory order, so the layout fixes their rounding. Backward
-    computes dw and the col2im only for inputs that require grad.
+    One code path for every shape and kernel size, as GEMMs over a
+    channel-major column matrix ``cols[Cin*k*k, B*H*W]``: row (c, i, j) is
+    input plane c of the zero-padded input shifted by (i, j), so building it
+    copies runs of W contiguous floats.
+
+    Forward goes one block of slices at a time, sized so that the block's
+    columns stay in cache: it copies the block's columns into a reused buffer
+    and writes ``cols_blk.T @ w2d.T`` into the block's rows of the output.
+    That [B*H*W, Cout] result is the output in channels-last memory (a
+    transposed view). Backward recomputes the columns instead of keeping
+    them on the tape (peak memory stays that of the input). It takes
+    ``dw = g2d @ cols.T`` in one GEMM over the whole batch, with
+    g2d = [Cout, B*H*W], while the input gradient goes by slice blocks:
+    ``w2d.T @ g2d_blk``, folded back (col2im) by k*k slice-adds into a padded
+    buffer in (i, j) order, then copied into channels-last memory, the layout
+    the forward output has: numpy's reductions over it (BatchNorm, bias) sum
+    in memory order, so the layout fixes their rounding. Backward computes dw
+    and dx only for inputs that require grad.
+
+    The calling thread and the pool split the blocks when each thread's
+    share is worth the dispatch. A block never splits a GEMM's reduction, so it computes
+    every output element as the one-GEMM form would, bit for bit, as long as
+    no GEMM dimension is 1 (numpy then takes a matrix-vector product, whose
+    rounding depends on the length). Such shapes run as one block.
     """
     x, w = as_tensor(x), as_tensor(w)
     _check_4d(x.data, "conv2d input")
@@ -332,42 +508,73 @@ def conv2d(x, w, b=None) -> Tensor:
         raise ValueError(f"kernel must be square and odd, got {kh}x{kw}")
     if x.data.shape[1] != Cin:
         raise ValueError(f"channel mismatch: input {x.data.shape[1]}, weight {Cin}")
-    k, p = kh, (kh - 1) // 2
-    B, _, H, W = x.data.shape
-
-    xdata = x.data
-
-    def im2col():
-        xp = np.pad(xdata, ((0, 0), (0, 0), (p, p), (p, p))) if p else xdata
-        # windows: [B, Cin, H, W, k, k] view over the padded input
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        return np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(Cin * k * k, B * H * W)
-
-    w2d = w.data.reshape(Cout, Cin * k * k)
-    y = (im2col().T @ w2d.T).reshape(B, H, W, Cout)
     parents = (w, x)
     if b is not None:
         b = as_tensor(b)
-        y = y + b.data
         parents = (w, b, x)
+    k, p = kh, (kh - 1) // 2
+    B, _, H, W = x.data.shape
+    K, HW = Cin * k * k, H * W
+    xdata = x.data
+    w2d = w.data.reshape(Cout, K)
+    # slice blocks, and whether the pool shares them out
+    nb = B if min(Cout, K, HW) == 1 else max(1, min(B, _BLOCK_BYTES // (4 * K * HW)))
+    blocks = [(b0, min(B, b0 + nb)) for b0 in range(0, B, nb)]
+    split = len(blocks) > 1 and 2 * B * HW * K * Cout >= _WORKERS * _MIN_SHARE_FLOP
+
+    def padded():
+        return np.pad(xdata, ((0, 0), (0, 0), (p, p), (p, p))) if p else xdata
+
+    def im2col(xp, out):
+        # windows: [nb, Cin, H, W, k, k] view over the padded input slices
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        np.copyto(out.reshape(Cin, k, k, len(xp), H, W), win.transpose(1, 4, 5, 0, 2, 3))
+        return out
+
+    xp = padded()
+    y = np.empty((B * HW, Cout), DTYPE)
+
+    def forward(blk):
+        b0, b1 = blk
+        cols = im2col(xp[b0:b1], _scratch("cols", (K, (b1 - b0) * HW)))
+        rows = y[b0 * HW : b1 * HW]
+        np.matmul(cols.T, w2d.T, out=rows)
+        if b is not None:
+            rows += b.data
+
+    _each(forward, blocks, split)
 
     def grads(g):
-        # yields in parent order: dw, db (with a bias), dx
-        g2d = g.transpose(1, 0, 2, 3).reshape(Cout, B * H * W)
-        yield (g2d @ im2col().T).reshape(Cout, Cin, k, k) if w.requires_grad else None
-        if b is not None:
-            yield g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        if x.requires_grad:
-            dcols = (w2d.T @ g2d).reshape(Cin, k, k, B, H, W)
-            dxp = np.zeros((Cin, B, H + 2 * p, W + 2 * p), DTYPE)
+        # in parent order: dw, db (with a bias), dx
+        g2d = g.transpose(1, 0, 2, 3).reshape(Cout, B * HW)
+        dx = np.empty((B, H, W, Cin), DTYPE) if x.requires_grad else None
+
+        def dw():
+            return (g2d @ im2col(padded(), np.empty((K, B * HW), DTYPE)).T).reshape(w.shape)
+
+        def dx_block(blk):
+            b0, b1 = blk
+            n = b1 - b0
+            dcols = _scratch("dcols", (K, n * HW))
+            np.matmul(w2d.T, g2d[:, b0 * HW : b1 * HW], out=dcols)
+            dcols = dcols.reshape(Cin, k, k, n, H, W)
+            dxp = _scratch("dxp", (Cin, n, H + 2 * p, W + 2 * p))
+            dxp.fill(0)
             for i in range(k):
                 for j in range(k):
                     dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
-            dx = np.empty((B, H, W, Cin), DTYPE)
-            dx[...] = dxp[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
-            yield dx.transpose(0, 3, 1, 2)
+            dx[b0:b1] = dxp[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
 
-    return _node(y.transpose(0, 3, 1, 2), parents, grads)
+        # unsplit, the input gradient is one block: a block loop only pays on the pool
+        dx_blocks = () if dx is None else blocks if split else [(0, B)]
+        out = [_each(dx_block, dx_blocks, split and dx is not None,
+                     first=dw if w.requires_grad else None)]
+        if b is not None:
+            out.append(g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
+        out.append(None if dx is None else dx.transpose(0, 3, 1, 2))
+        return out
+
+    return _node(y.reshape(B, H, W, Cout).transpose(0, 3, 1, 2), parents, grads)
 
 
 def maxpool2d(x) -> Tensor:

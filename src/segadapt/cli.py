@@ -204,8 +204,11 @@ def cmd_adapt(args) -> int:
     if args.config:
         inputs["config"] = args.config
     _write_manifest(out, f"adapt:{args.method}", cfg, args.seed, inputs, outputs, t0)
-    best = est.best_val_dice_
-    print(f"method {args.method}: best val dice {best:.4f} at epoch {est.best_epoch_}")
+    if est.best_epoch_ < 0:
+        print(f"method {args.method}: no epochs run")
+    else:
+        print(f"method {args.method}: best val dice {est.best_val_dice_:.4f} "
+              f"at epoch {est.best_epoch_}")
     return 0
 
 
@@ -291,14 +294,10 @@ def _write_summary_csv(path, results: list, baseline: list | None):
                    s.assd_excluded]
             if tcols:
                 ours, theirs = [], []
-                for r in results:
-                    if r.cls != cls:
-                        continue
-                    key = (r.case_id, r.cls)
-                    if key not in base_by_key:
-                        raise DatasetError(f"baseline CSV missing case {key[0]} class {key[1]}")
-                    ours.append(r.dice)
-                    theirs.append(base_by_key[key])
+                for r in results:  # cmd_eval checked that the baseline has every case
+                    if r.cls == cls:
+                        ours.append(r.dice)
+                        theirs.append(base_by_key[(r.case_id, r.cls)])
                 t, p = paired_t_test(ours, theirs)
                 row += [f"{t:.6f}", f"{p:.6g}"]
             w.writerow(row)
@@ -310,7 +309,14 @@ def cmd_eval(args) -> int:
     model, _ = load_checkpoint(args.checkpoint)
     ds = _dataset(args.data, model.arch, labels=True)
     # read the baseline before evaluating, so a bad one leaves no results behind
-    baseline = _read_results_csv(args.baseline) if args.baseline else None
+    baseline = None
+    if args.baseline:
+        baseline = _read_results_csv(args.baseline)
+        have = {(r.case_id, r.cls) for r in baseline}
+        for cid in ds.case_ids:
+            for c in range(1, model.num_classes):
+                if (cid, c) not in have:
+                    raise DatasetError(f"baseline {args.baseline} lacks case {cid} class {c}")
     name = args.name or args.mode
     results = _eval_results(model, ds, args.mode, cfg, args.seed, name)
     out_csv = Path(args.out)

@@ -107,11 +107,8 @@ def parse_config(path) -> Config:
     return cfg
 
 
-_SCHEDULE_BOUNDS = {
-    "epochs": (lambda v: v >= 0, ">= 0"),
-    "batch": (lambda v: v == "volume" or (v.isdigit() and int(v) >= 1),
-              "'volume' or an integer >= 1"),
-}
+_BATCH_BOUND = (lambda v: v == "volume" or (v.isdigit() and int(v) >= 1),
+                "'volume' or an integer >= 1")
 _SIZE_STEP = 2 ** ArchConfig().levels  # each encoder level halves the image
 # at both caps the float32 slices of the two domains take about 1.6 GB
 _MAX_CASES, _MAX_SIZE = 1000, 128
@@ -127,13 +124,16 @@ _BOUNDS = {
                        f"a multiple of {_SIZE_STEP} in 32..{_MAX_SIZE}"),
     },
     "pretrain": {
-        **_SCHEDULE_BOUNDS,
+        # a model trained for no epoch has BatchNorm layers that never saw a batch
+        "epochs": (lambda v: v >= 1, ">= 1"),
+        "batch": _BATCH_BOUND,
         "lr": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
         "lr_decay": (lambda v: 0.0 < v < math.inf, "finite and > 0"),
         "decay_every": (lambda v: v >= 1, ">= 1"),
     },
     "adapt": {
-        **_SCHEDULE_BOUNDS,
+        "epochs": (lambda v: v >= 0, ">= 0"),
+        "batch": _BATCH_BOUND,
         "heads": (lambda v: 1 <= v <= MAX_HEADS, f"in 1..{MAX_HEADS}"),
         "tau": (lambda v: 0.0 < v < 1.0, "finite and in (0, 1)"),
         "lr": (lambda v: 0.0 <= v < math.inf, "finite and >= 0"),

@@ -3,14 +3,15 @@
 ``head_probs`` runs head k on the batch under transform k and maps the
 result back with the inverse transform. It is the one place that does so:
 eval-mode inference (single head, or transform-ensembled over all heads) and
-both passes of a UPL training step call it.
+both passes of a UPL training step call it. On an active tape each head is
+one ``Segment``, so that backward replays the heads concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import Segment, Tensor
 from .model import SegModel
 from .pseudolabel import cleanup_label_map, ensemble_mean
 from .transforms import (IDENTITY, SpatialTransform, apply_inverse, apply_transform,
@@ -22,8 +23,12 @@ def head_probs(model: SegModel, images: np.ndarray, transforms: list[SpatialTran
     """Softmax map of head k on ``images`` under ``transforms[k]``, mapped back
     to the input frame, for k = 0 .. len(transforms) - 1. The maps stay in the
     autodiff graph; ``train`` and ``rng`` go to ``forward_head``."""
-    return [apply_inverse(t, model.forward_head(apply_transform(t, images), k, train, rng))
-            for k, t in enumerate(transforms)]
+    probs = []
+    for k, t in enumerate(transforms):
+        with Segment():
+            probs.append(apply_inverse(t, model.forward_head(apply_transform(t, images), k,
+                                                             train, rng)))
+    return probs
 
 
 def _labels_from(mean_prob: np.ndarray, num_classes: int, cleanup: bool) -> np.ndarray:

@@ -28,7 +28,6 @@ class DomainSpec:
     noise_sigma: float = 0.02
     gamma: float = 1.0
     bias_amp: float = 0.0
-    invert: bool = False
 
 
 @dataclass(frozen=True)
@@ -130,8 +129,6 @@ def render_slice(label: np.ndarray, domain: DomainSpec, rng: np.random.Generator
     img = np.clip(img, 0.0, 1.0) ** domain.gamma
     if domain.bias_amp > 0:
         img = img + domain.bias_amp * _smooth_field(rng, label.shape[0], cells=2)
-    if domain.invert:
-        img = 1.0 - img
     if domain.noise_sigma > 0:
         img = img + domain.noise_sigma * rng.standard_normal(label.shape)
     return normalize_slice(img)

@@ -127,7 +127,7 @@ class TestGradientAudit:
         rr = coeffs((2, 4, 4))
         check(
             "relu",
-            lambda: _weighted_sum(ad.relu(xr), rr),
+            lambda: _weighted_sum(ad.leaky_relu(xr, 0.0), rr),
             lambda: float((np.maximum(xr.data.astype(np.float64), 0.0) * rr).sum()),
             [xr],
         )

@@ -94,7 +94,7 @@ class TestElementwise:
         b = rand((5, 5), 4)
         assert np.array_equal(ad.clamp_min(ad.Tensor(b), 0.25).data,
                               np.maximum(b, np.float32(0.25)))
-        assert np.array_equal(ad.relu(ad.Tensor(b)).data, np.maximum(b, 0))
+        assert np.array_equal(ad.leaky_relu(ad.Tensor(b), 0.0).data, np.maximum(b, 0))
         lr = ad.leaky_relu(ad.Tensor(b), 0.01).data
         for i in range(5):
             for j in range(5):
@@ -147,7 +147,7 @@ class TestElementwise:
     def test_relu_gradients(self):
         a = leaf((4, 4), 17)
         a.data[np.abs(a.data) < 0.05] += 0.1
-        fd_assert(lambda: ad.tsum(ad.relu(a) * a),
+        fd_assert(lambda: ad.tsum(ad.leaky_relu(a, 0.0) * a),
                   lambda: float((np.maximum(a.data.astype(np.float64), 0) * a.data.astype(np.float64)).sum()),
                   [a])
 
@@ -607,7 +607,7 @@ class TestTape:
         x = ad.Tensor(rand((1, 2, 4, 4), 95))
         w = ad.Tensor(rand((3, 2, 3, 3), 96))
         with ad.Tape() as tape:
-            y = ad.relu(ad.conv2d(x, w, np.zeros(3, np.float32)))
+            y = ad.leaky_relu(ad.conv2d(x, w, np.zeros(3, np.float32)))
             assert not y.requires_grad
             assert len(tape) == 0
 

@@ -202,6 +202,20 @@ class TestConfigErrors:
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["pretrain", "target-only"])
+    def test_zero_pretrain_epochs_exits_2_before_any_output(self, ws, tmp_path, capsys,
+                                                            command):
+        # a model that saw no batch has no BatchNorm statistics to evaluate with
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("[pretrain]\nepochs = 0\n")
+        out = tmp_path / "o"
+        argv = (["pretrain"] if command == "pretrain"
+                else ["adapt", "--method", "target-only"])
+        assert cli.main(argv + ["--data", str(ws.data), "--out", str(out),
+                                "--config", str(bad)]) == 2
+        assert "[pretrain] epochs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tau_at_or_below_one_over_classes_exits_2_before_training(self, ws, tmp_path,
                                                                       capsys):
         # in (0, 1), so it parses; the 3-class checkpoint then rules it out
@@ -447,6 +461,15 @@ class TestAdapt:
         assert not out.exists()  # no adapted.uplc, no log, no manifest
         assert blocker.read_text() == "x"
 
+    def test_zero_epochs_say_so(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(MINI_CFG.replace("epochs = 1\n", "epochs = 0\n"))
+        rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(tmp_path / "o"),
+                       "--config", str(cfg), "--method", "upl",
+                       "--checkpoint", str(ws.ckpt)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "method upl: no epochs run"
+
     def test_rerun_byte_identical_outputs(self, ws, runs):
         again = ws.root / "upl_again"
         rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(again),
@@ -556,6 +579,23 @@ class TestEval:
                        "--baseline", str(tmp_path / "missing.csv")])
         assert rc == 3
         assert "missing.csv" in capsys.readouterr().err
+        assert not out.exists() and not out.with_name("r_summary.csv").exists()
+
+    def test_baseline_lacking_a_case_exits_3_before_evaluating(self, ws, results, tmp_path,
+                                                               capsys):
+        with open(results, newline="") as f:
+            rows = list(csv.reader(f))
+        dropped = rows[1][1]
+        baseline = tmp_path / "partial.csv"
+        with open(baseline, "w", newline="") as f:
+            csv.writer(f).writerows([r for r in rows if r[1] != dropped])
+        out = tmp_path / "r.csv"
+        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
+                       "--data", str(ws.data / "target_test.upld"),
+                       "--out", str(out), "--mode", "single", "--seed", "9",
+                       "--baseline", str(baseline)])
+        assert rc == 3
+        assert f"lacks case {dropped}" in capsys.readouterr().err
         assert not out.exists() and not out.with_name("r_summary.csv").exists()
 
     def test_class_count_mismatch_exits_3(self, ws, tmp_path, capsys):

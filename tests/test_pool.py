@@ -1,0 +1,216 @@
+"""The worker pool keeps every bit: conv2d's slice blocks against one GEMM
+over the batch, concurrent head segments against a serial replay, the
+golden fit digests at pool width 1 and 2, and public calls on the main
+thread only. Each test forces every split, so toy sizes take the pool."""
+
+import importlib
+import inspect
+import pkgutil
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+
+import numpy as np
+import pytest
+
+import segadapt
+from segadapt import autodiff as ad
+from segadapt.config import AdaptConfig
+from segadapt.estimators import MultiHeadAdapter
+from test_estimators import GOLDEN, fit_digest, pretrained, toy_data  # noqa: F401 (fixtures)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    """``pool(width)`` makes every conv2d and segment replay split across a
+    fresh pool of ``width`` workers; returns the list of submitted tasks."""
+    submitted = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(fn)
+            return super().submit(fn, *args, **kwargs)
+
+    def force(width):
+        monkeypatch.setattr(ad, "_WORKERS", width)
+        monkeypatch.setattr(ad, "_MIN_SHARE_FLOP", 0)
+        monkeypatch.setattr(ad, "_MIN_SEGMENT_SIZE", 0)
+        monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)  # one slice per block
+        monkeypatch.setattr(ad, "_pool", None)
+        monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+        return submitted
+
+    yield force
+    if ad._pool is not None:
+        ad._pool.shutdown()
+
+
+def unsplit_conv(x, w, b, g):
+    """y, dw and dx of conv2d as one GEMM each over the whole batch."""
+    Cout, Cin, k, _ = w.shape
+    p = (k - 1) // 2
+    B, _, H, W = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(1, 4, 5, 0, 2, 3)).reshape(Cin * k * k, B * H * W)
+    w2d = w.reshape(Cout, Cin * k * k)
+    y = (cols.T @ w2d.T + b).reshape(B, H, W, Cout).transpose(0, 3, 1, 2)
+    g2d = g.transpose(1, 0, 2, 3).reshape(Cout, B * H * W)
+    dw = (g2d @ cols.T).reshape(w.shape)
+    dcols = (w2d.T @ g2d).reshape(Cin, k, k, B, H, W)
+    dxp = np.zeros((Cin, B, H + 2 * p, W + 2 * p), np.float32)
+    for i in range(k):
+        for j in range(k):
+            dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
+    return y, dw, dxp[:, :, p : p + H, p : p + W].transpose(1, 0, 2, 3)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+# (B, Cin, Cout, H, k): the toy pipeline's 16x16 B=10 8->8 layer, the
+# model's widest reduction (32 channels x 3x3 = 288), the 1-channel image,
+# 1x1 heads, a 5x5 kernel, odd batches and a batch of one
+CONV_SHAPES = [(10, 8, 8, 16, 3), (10, 32, 32, 16, 3), (10, 32, 16, 8, 3), (7, 16, 8, 16, 3),
+               (10, 1, 8, 16, 3), (10, 8, 3, 16, 1), (3, 16, 32, 4, 3), (5, 2, 4, 12, 5),
+               (1, 8, 8, 16, 3), (6, 24, 16, 32, 3)]
+
+
+def assert_conv_matches_unsplit(B, Cin, Cout, H, k):
+    rng = np.random.default_rng(B * 1000 + Cin * 10 + k)
+    xd = rng.standard_normal((B, Cin, H, H)).astype(np.float32)
+    wd = rng.standard_normal((Cout, Cin, k, k)).astype(np.float32)
+    bd = rng.standard_normal(Cout).astype(np.float32)
+    g = rng.standard_normal((B, Cout, H, H)).astype(np.float32)
+    x, w, b = (ad.Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+    with ad.Tape() as tape:
+        y = ad.conv2d(x, w, b)
+        tape.backward(ad.tsum(ad.mul(y, g)))
+    y_ref, dw_ref, dx_ref = unsplit_conv(xd, wd, bd, g)
+    assert same_bytes(y.data, y_ref)
+    assert same_bytes(w.grad, dw_ref)
+    assert same_bytes(x.grad, dx_ref)
+
+
+@pytest.mark.parametrize("B,Cin,Cout,H,k", CONV_SHAPES)
+def test_slice_blocks_match_one_gemm_over_the_batch(pool, B, Cin, Cout, H, k):
+    tasks = pool(2)
+    assert_conv_matches_unsplit(B, Cin, Cout, H, k)
+    assert tasks if B > 1 else not tasks  # the blocks did go to the pool
+
+
+def test_a_segment_may_not_read_a_tensor_made_outside_it():
+    x = ad.Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    with ad.Tape():
+        shared = ad.mul(x, 2.0)
+        with ad.Segment():
+            own = ad.mul(x, 3.0)  # leaves are shared freely
+            ad.add(own, own)
+            with pytest.raises(RuntimeError, match="outside"):
+                ad.add(own, shared)
+        with ad.Segment():
+            with pytest.raises(RuntimeError, match="outside"):
+                ad.mul(own, 2.0)
+            with pytest.raises(RuntimeError, match="nest"):
+                ad.Segment().__enter__()
+        ad.add(own, shared)  # outside segments anything goes
+
+
+def _segmented_loss(x, w, segment: bool):
+    """Loss over three heads that share leaves ``x`` and ``w``, each head
+    using ``w`` twice, with steps outside segments before and after them."""
+    pre = ad.mul(w, 0.5)
+    heads = []
+    for k in range(3):
+        with ad.Segment() if segment else nullcontext():
+            h = ad.conv2d(ad.mul(x, float(k + 1)), w)
+            heads.append(ad.tsum(ad.mul(ad.conv2d(ad.leaky_relu(h), w), h)))
+    return ad.add(ad.tsum(ad.mul(pre, w)), ad.add(heads[0], ad.add(heads[1], heads[2])))
+
+
+def segment_grads(segment: bool):
+    rng = np.random.default_rng(5)
+    x = ad.Tensor(rng.standard_normal((4, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((3, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    with ad.Tape() as tape:
+        tape.backward(_segmented_loss(x, w, segment))
+    return x.grad, w.grad
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_concurrent_segments_match_the_serial_replay(pool, width):
+    serial = segment_grads(False)
+    tasks = pool(width)
+    for ours, ref in zip(segment_grads(True), serial):
+        assert same_bytes(ours, ref)
+    assert bool(tasks) == (width == 2)
+
+
+def test_more_workers_than_cores_with_a_short_switch_interval(pool):
+    serial = segment_grads(False)
+    tasks = pool(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter lock constantly
+    try:
+        for _ in range(3):
+            assert_conv_matches_unsplit(10, 8, 8, 16, 3)
+            for ours, ref in zip(segment_grads(True), serial):
+                assert same_bytes(ours, ref)
+    finally:
+        sys.setswitchinterval(interval)
+    assert tasks
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_golden_digests_at_pool_width(pool, toy_data, pretrained, width):
+    tasks = pool(width)
+    train, val = toy_data
+    for name, (make, labeled, digest) in sorted(GOLDEN.items()):
+        fitted = make(pretrained).fit(train if labeled else train.drop_labels(), val)
+        assert fit_digest(fitted) == digest, name
+    assert bool(tasks) == (width == 2)
+
+
+def test_public_calls_stay_on_the_main_thread(pool, toy_data, pretrained, monkeypatch):
+    """Wrap every public function and method of every segadapt module, as a
+    span tracer does, and fit UPL with every split forced."""
+    tasks = pool(2)
+    calls, off_main = [], []
+
+    def record(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    wrapped = {}
+    for info in pkgutil.iter_modules(segadapt.__path__):
+        mod = importlib.import_module(f"segadapt.{info.name}")
+        for attr, obj in list(vars(mod).items()):
+            if attr.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj) and not inspect.isgeneratorfunction(obj):
+                wrapped[obj] = record(f"{info.name}.{attr}", obj)
+                monkeypatch.setattr(mod, attr, wrapped[obj])
+            elif inspect.isclass(obj):
+                for meth, fn in list(vars(obj).items()):
+                    if (not meth.startswith("_") and inspect.isfunction(fn)
+                            and not inspect.isgeneratorfunction(fn)):
+                        monkeypatch.setattr(obj, meth, record(f"{attr}.{meth}", fn))
+    for name, mod in list(sys.modules.items()):  # names imported by other modules
+        if mod is not None and name.startswith("segadapt"):
+            for attr, obj in list(vars(mod).items()):
+                if inspect.isfunction(obj) and obj in wrapped:
+                    monkeypatch.setattr(mod, attr, wrapped[obj])
+
+    train, val = toy_data
+    MultiHeadAdapter(pretrained, AdaptConfig(heads=2, epochs=1, lr=1e-3), 43).fit(
+        train.drop_labels(), val)
+    assert "autodiff.conv2d" in calls and "Tape.backward" in calls
+    assert tasks  # the pool did run work
+    assert off_main == []
