@@ -39,8 +39,8 @@ from .synthdata import generate_benchmark
 SPLITS = ("train", "val", "test")
 DOMAINS = ("source", "target")
 
-# --method -> the adapter it fits on the source model; all but ptbn also read
-# the [adapt] section, and target-only trains a SourceTrainer on [pretrain]
+# --method -> the adapter it fits on the source model and the [adapt] section;
+# target-only trains a SourceTrainer on [pretrain] instead
 ADAPTERS = {"upl": MultiHeadAdapter, "tent": TentAdapter, "ptbn": PtbnAdapter,
             "selftrain": SelfTrainAdapter, "finetune-train": FineTuner,
             "finetune-valid": FineTuner}
@@ -124,14 +124,44 @@ def _dataset(path, arch: ArchConfig, labels: bool = False) -> LabeledSet:
     return ds
 
 
+def _build(method: str, checkpoint, data, cfg: Config, seed: int,
+           ablate: frozenset = frozenset(), where: str = "[adapt]"):
+    """``(estimator, train, val, the set it fits, the files it read)`` for
+    ``method``, checked against the checkpoint and the split of ``data`` it
+    reads before anything is written; ``where`` prefixes a tau error."""
+    domain = "source" if method == "pretrain" else "target"
+    inputs = {f"{domain}_{s}": Path(data) / f"{domain}_{s}.upld" for s in ("train", "val")}
+    arch, model = ArchConfig(), None
+    if method not in ("pretrain", "target-only"):
+        model, _ = load_checkpoint(checkpoint)
+        if model.num_heads != 1:
+            raise CheckpointError("adaptation expects a single-head source checkpoint")
+        if method == "upl":
+            check_tau(cfg.adapt.tau, model.num_classes, where)
+        arch = model.arch
+    supervised = method.startswith("finetune")
+    train, val = (_dataset(path, arch, labels=supervised) for path in inputs.values())
+    if model is None:
+        return SourceTrainer(cfg.pretrain, train.num_classes, seed), train, val, train, inputs
+    inputs["checkpoint"] = checkpoint
+    extra = {"ablate": ablate} if method == "upl" else {}
+    est = ADAPTERS[method](model, cfg.adapt, seed, **extra)
+    # source-free methods never see target labels
+    fit_set = {"finetune-train": train, "finetune-valid": val}.get(method, train.drop_labels())
+    return est, train, val, fit_set, inputs
+
+
+def _fit_summary(est) -> str:
+    if est.best_epoch_ < 0:
+        return "no epochs run"
+    return f"best val dice {est.best_val_dice_:.4f} at epoch {est.best_epoch_}"
+
+
 def cmd_pretrain(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
-    inputs = {name: Path(args.data) / f"{name}.upld" for name in ("source_train", "source_val")}
-    train = _dataset(inputs["source_train"], ArchConfig())
-    val = _dataset(inputs["source_val"], ArchConfig())
+    trainer, train, val, _, inputs = _build("pretrain", None, args.data, cfg, args.seed)
     out = _out_dir(args)
-    trainer = SourceTrainer(cfg.pretrain, train.num_classes, args.seed)
     trainer.fit(train, val)
     ckpt = out / "checkpoint.uplc"
     save_checkpoint(ckpt, trainer.model_, epoch=trainer.best_epoch_,
@@ -141,7 +171,7 @@ def cmd_pretrain(args) -> int:
     if args.config:
         inputs["config"] = args.config
     _write_manifest(out, "pretrain", cfg, args.seed, inputs, [ckpt, logp], t0)
-    print(f"best val dice {trainer.best_val_dice_:.4f} at epoch {trainer.best_epoch_}")
+    print(_fit_summary(trainer))
     return 0
 
 
@@ -159,37 +189,8 @@ def cmd_adapt(args) -> int:
             print(f"--ablate: {e}", file=sys.stderr)
             return 2
 
-    inputs = {name: Path(args.data) / f"{name}.upld" for name in ("target_train", "target_val")}
-    model = None
-    if args.method != "target-only":
-        model, _ = load_checkpoint(args.checkpoint)
-        if model.num_heads != 1:
-            raise CheckpointError("adaptation expects a single-head source checkpoint")
-        if args.method == "upl":
-            check_tau(cfg.adapt.tau, model.num_classes)
-        inputs["checkpoint"] = args.checkpoint
-    arch = ArchConfig() if model is None else model.arch
-    supervised = args.method.startswith("finetune")
-    train = _dataset(inputs["target_train"], arch, labels=supervised)
-    val = _dataset(inputs["target_val"], arch, labels=supervised)
-
-    if model is None:
-        est = SourceTrainer(cfg.pretrain, train.num_classes, args.seed)
-        fit_set = train
-    else:
-        if args.method == "ptbn":
-            est = PtbnAdapter(model, args.seed)
-        elif args.method == "upl":
-            est = MultiHeadAdapter(model, cfg.adapt, args.seed, ablate)
-        else:
-            est = ADAPTERS[args.method](model, cfg.adapt, args.seed)
-        if args.method == "finetune-train":
-            fit_set = train
-        elif args.method == "finetune-valid":
-            fit_set = val
-        else:  # source-free: target labels stay unseen
-            fit_set = train.drop_labels()
-
+    est, train, val, fit_set, inputs = _build(args.method, args.checkpoint, args.data, cfg,
+                                              args.seed, ablate)
     if args.dump_maps:  # a file in the way fails here, before any training
         Path(args.dump_maps).mkdir(parents=True, exist_ok=True)
     out = _out_dir(args)  # only once every check has passed
@@ -204,11 +205,7 @@ def cmd_adapt(args) -> int:
     if args.config:
         inputs["config"] = args.config
     _write_manifest(out, f"adapt:{args.method}", cfg, args.seed, inputs, outputs, t0)
-    if est.best_epoch_ < 0:
-        print(f"method {args.method}: no epochs run")
-    else:
-        print(f"method {args.method}: best val dice {est.best_val_dice_:.4f} "
-              f"at epoch {est.best_epoch_}")
+    print(f"method {args.method}: {_fit_summary(est)}")
     return 0
 
 
@@ -350,6 +347,8 @@ def _parse_grid(tokens: list) -> list:
         key = key.strip()
         if key not in allowed:
             raise ConfigError(f"grid key {key!r} not allowed; choose from {sorted(allowed)}")
+        if key in dict(axes):
+            raise ConfigError(f"grid {key}: given twice; list its values in one token")
         try:
             values = [allowed[key](v) for v in vals.split(",") if v.strip()]
         except ValueError as e:
@@ -368,22 +367,21 @@ def cmd_ablate(args) -> int:
     t0 = time.monotonic()
     cfg = _load_config(args)
     combos = _parse_grid(args.grid)
-    model, _ = load_checkpoint(args.checkpoint)
     grid = [replace(cfg, adapt=replace(cfg.adapt, **combo)) for combo in combos]
     for point in grid:
         check_bounds(point.adapt, "adapt", "grid")
-        check_tau(point.adapt.tau, model.num_classes, "grid")
-    inputs = {name: Path(args.data) / f"{name}.upld" for name in ("target_train", "target_val")}
-    inputs["checkpoint"] = args.checkpoint
-    train = _dataset(inputs["target_train"], model.arch)
-    val = _dataset(inputs["target_val"], model.arch)
+    ests = []
+    for point in grid:  # every point passes adapt's checks before --out exists
+        est, _, val, fit_set, inputs = _build("upl", args.checkpoint, args.data, point,
+                                              args.seed, where="grid")
+        ests.append(est)
+    # every point reads the same files, so one point's sets serve every fit
     out = _out_dir(args)
     rows = []
-    for combo, point in zip(combos, grid):
-        est = MultiHeadAdapter(model, point.adapt, args.seed)
-        est.fit(train.drop_labels(), val)
+    for combo, est in zip(combos, ests):
+        est.fit(fit_set, val)
         rows.append({**combo, "val_dice": est.best_val_dice_, "best_epoch": est.best_epoch_})
-        print(f"{combo} -> val dice {est.best_val_dice_:.4f}")
+        print(f"{combo} -> {_fit_summary(est)}")
     keys = sorted({k for row in rows for k in row})
     sweep_csv = out / "sweep.csv"
     with open(sweep_csv, "w", newline="", encoding="utf-8") as f:

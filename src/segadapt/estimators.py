@@ -166,15 +166,15 @@ class SegmentationEstimator:
     def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int):
         self.model, self.cfg, self.seed = model, cfg, seed
 
-    def _fit_epochs(self, work: SegModel, opt: Adam | None, train: UnlabeledSet,
+    def _fit_epochs(self, work: SegModel, opt: Adam, train: UnlabeledSet,
                     val: LabeledSet, step_fn, *, lr_fn=None, predict_fn=None):
         """Run ``cfg.epochs`` epochs of ``step_fn(idx, epoch, step)`` over
         ``cfg.batch``-sized batches, validate after each and keep the best.
 
         ``step_fn`` tapes one update, leaving gradients on the parameters, and
         returns its log terms (keys among ``loss``, ``loss_entropy`` and
-        ``reliable_fraction``). ``opt`` None means observe only. The learning
-        rate is ``lr_fn(epoch)`` when given, else the constant ``cfg.lr``.
+        ``reliable_fraction``). The learning rate is ``lr_fn(epoch)`` when
+        given, else the constant ``cfg.lr``.
         """
         if predict_fn is None:
             predict_fn = lambda imgs: infer_single(work, imgs)[0]
@@ -184,23 +184,21 @@ class SegmentationEstimator:
         step = 0
         for epoch in range(self.cfg.epochs):
             t0 = time.monotonic()
-            lr = self.cfg.lr if lr_fn is None else lr_fn(epoch)
             if lr_fn is not None:
-                opt.lr = lr
+                opt.lr = lr_fn(epoch)
             terms = {"loss": [], "loss_entropy": [], "reliable_fraction": []}
             for idx in iter_batches(train, self.cfg.batch, order_rng):
                 step += 1
                 for key, value in step_fn(idx, epoch, step).items():
                     terms[key].append(value)
-                if opt is not None:
-                    opt.step()
-                    opt.zero_grad()
+                opt.step()
+                opt.zero_grad()
             val_mean, per_class = validation_dice(predict_fn, val, work.num_classes)
             if val_mean > best_val:
                 best_model, best_val, best_epoch = work.clone(), val_mean, epoch
             means = {k: float(np.mean(v)) if v else None for k, v in terms.items()}
             log.append(EpochRecord(epoch, means["loss"], means["loss_entropy"], per_class,
-                                   val_mean, means["reliable_fraction"], lr,
+                                   val_mean, means["reliable_fraction"], opt.lr,
                                    time.monotonic() - t0))
         # zero epochs hand back the input state
         self.model_ = best_model if best_model is not None else work.clone()
@@ -211,7 +209,7 @@ class SegmentationEstimator:
     def _supervised(self, work: SegModel, train: LabeledSet, val: LabeledSet, lr_fn,
                     stage: str):
         """Supervised Dice training of head 0 on every parameter."""
-        opt = Adam(work.parameter_groups("all"), lr_fn(0) if self.cfg.epochs else 1e-4)
+        opt = Adam(work.parameter_groups("all"), lr_fn(0))
 
         def step_fn(idx, epoch, step):
             y = one_hot(train.labels[idx], work.num_classes)
@@ -323,10 +321,8 @@ class MultiHeadAdapter(SegmentationEstimator):
 
 class PtbnAdapter(SegmentationEstimator):
     """Forward passes in train mode so BN running statistics track the target
-    distribution; parameters never change. One pass, file order."""
-
-    def __init__(self, model: SegModel, seed: int):
-        self.model, self.seed = model, seed
+    distribution; parameters never change. One pass, file order. Reads no
+    ``cfg`` value."""
 
     def fit(self, train: UnlabeledSet, val: LabeledSet | None = None):
         work = self.model.clone()
@@ -356,9 +352,6 @@ class TentAdapter(SegmentationEstimator):
     """
 
     def fit(self, train: UnlabeledSet, val: LabeledSet):
-        lr = self.cfg.lr
-        if lr < 0:
-            raise ValueError(f"lr must be >= 0, got {lr}")
         work = self.model.clone()
         affine = set(id(t) for t in work.parameter_groups("bn_affine_only"))
         for t in work.parameter_groups("all"):
@@ -378,8 +371,7 @@ class TentAdapter(SegmentationEstimator):
                 tape.backward(loss)
             return {"loss_entropy": loss.item()}
 
-        # lr 0 means observe-only: loss is logged, parameters never move
-        opt = Adam(work.parameter_groups("bn_affine_only"), lr) if lr > 0 else None
+        opt = Adam(work.parameter_groups("bn_affine_only"), self.cfg.lr)
         return self._fit_epochs(work, opt, train, val, step_fn)
 
 

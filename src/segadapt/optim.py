@@ -11,12 +11,12 @@ class Adam:
     """Adam with bias correction; betas (0.9, 0.999), eps 1e-8.
 
     A parameter whose grad is None (or all-zero) is left unchanged by step()
-    apart from the shared step counter.
+    apart from the shared step counter, and so is every parameter at lr 0.
     """
 
     def __init__(self, params: list[Tensor], lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
+        if not lr >= 0:  # False for nan
+            raise ValueError(f"lr must be >= 0, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
         self.beta1, self.beta2 = float(betas[0]), float(betas[1])

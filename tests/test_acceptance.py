@@ -445,7 +445,7 @@ class TestNormalizationAdaptationScope:
         ref_bn = {n: (bn.running_mean.copy(), bn.running_var.copy())
                   for n, bn in pre.bn_layers().items()}
 
-        ptbn = PtbnAdapter(pre, 0).fit(train.drop_labels(), val)
+        ptbn = PtbnAdapter(pre, AdaptConfig(), 0).fit(train.drop_labels(), val)
         ptbn_params_ok = all(
             np.array_equal(t.data, ref_params[n])
             for n, t in ptbn.model_.named_parameters().items()

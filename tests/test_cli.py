@@ -216,20 +216,20 @@ class TestConfigErrors:
         assert "[pretrain] epochs" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_tau_at_or_below_one_over_classes_exits_2_before_training(self, ws, tmp_path,
-                                                                      capsys):
+    @pytest.mark.parametrize("command,named", [("adapt", "[adapt] tau"),
+                                               ("ablate", "grid tau")])
+    def test_tau_at_or_below_one_over_classes_exits_2_before_training(
+            self, ws, tmp_path, capsys, command, named):
         # in (0, 1), so it parses; the 3-class checkpoint then rules it out
         bad = tmp_path / "bad.cfg"
         bad.write_text("[adapt]\ntau = 0.2\n")
         out = tmp_path / "o"
-        assert cli.main(["adapt", "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
-                         "--out", str(out), "--config", str(bad)]) == 2
-        assert "[adapt] tau" in capsys.readouterr().err
-        assert not out.exists()
-        out = tmp_path / "ablate"
-        assert cli.main(["ablate", "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
-                         "--out", str(out), "--grid", "tau=0.2"]) == 2
-        assert "grid tau" in capsys.readouterr().err
+        argv = [command, "--data", str(ws.data), "--checkpoint", str(ws.ckpt),
+                "--out", str(out), "--config", str(bad)]
+        if command == "ablate":
+            argv += ["--grid", "heads=2"]
+        assert cli.main(argv) == 2
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_tent_observe_only_lr_zero_is_valid(self, tmp_path):
@@ -380,6 +380,37 @@ class TestAdapt:
         assert "nothing to optimize" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["adapt", "ablate"])
+    def test_multi_head_checkpoint_exits_3_before_any_output(self, ws, tmp_path, capsys,
+                                                             command):
+        model, _ = load_checkpoint(ws.ckpt)
+        grown = tmp_path / "grown.uplc"
+        save_checkpoint(grown, model.grow(4), epoch=0, seeds={"root": 0})
+        out = tmp_path / "o"
+        argv = [command, "--data", str(ws.data), "--checkpoint", str(grown),
+                "--out", str(out), "--config", str(ws.cfg)]
+        if command == "ablate":
+            argv += ["--grid", "heads=2"]
+        assert cli.main(argv) == 3
+        assert "expects a single-head source checkpoint" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["upl", "tent", "selftrain", "finetune-train",
+                                        "finetune-valid"])
+    def test_lr_zero_leaves_every_parameter_bitwise_unchanged(self, ws, tmp_path, method):
+        cfg = tmp_path / "lr0.cfg"
+        cfg.write_text(MINI_CFG + "lr = 0\n")
+        out = tmp_path / "o"
+        assert cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
+                         "--config", str(cfg), "--method", method,
+                         "--checkpoint", str(ws.ckpt)]) == 0
+        source = load_checkpoint(ws.ckpt)[0].named_parameters()
+        adapted = load_checkpoint(out / "adapted.uplc")[0].named_parameters()
+        for name, t in adapted.items():
+            # a grown head starts as a copy of head 0
+            src = source[name if name.startswith("enc.") else "head0." + name.split(".", 1)[1]]
+            assert t.data.tobytes() == src.data.tobytes(), name
+
     @pytest.mark.parametrize("method", METHODS)
     def test_estimator_is_built_on_the_ini_section(self, ws, tmp_path, monkeypatch, method):
         cfg_path = tmp_path / "custom.cfg"
@@ -393,8 +424,6 @@ class TestAdapt:
         assert est.seed == 6
         if method == "target-only":
             assert (type(est), est.cfg, est.num_classes) == (SourceTrainer, cfg.pretrain, 3)
-        elif method == "ptbn":  # reads no [adapt] value
-            assert type(est) is PtbnAdapter
         else:
             assert type(est) is cli.ADAPTERS[method]
             assert est.cfg == cfg.adapt
@@ -692,6 +721,8 @@ class TestMisfitData:
         ("adapt-finetune-train", "class-3", "target_train.upld"),
         ("pretrain", "0-slice", "source_train.upld"),
         ("adapt-upl", "0-slice", "target_train.upld"),
+        ("ablate", "0-slice", "target_train.upld"),
+        ("ablate", "2-channel", "target_train.upld"),
         ("eval", "0-slice", "target_test.upld"),
     ])
     def test_exits_3_naming_the_file_before_any_output(self, ws, tmp_path, capsys,
@@ -755,9 +786,22 @@ class TestAblate:
         (["tau=0.9,nan"], "grid tau"),
         (["tau=0.2"], "grid tau"),  # below 1/3 for the 3-class checkpoint
         (["entropy_weight=-1"], "grid entropy_weight"),
+        (["heads=1", "heads=2"], "grid heads"),  # would drop heads=1
     ])
     def test_bad_grid_exits_2(self, ws, tmp_path, capsys, grid, fragment):
+        out = tmp_path / "o"
         rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
-                       "--out", str(tmp_path / "o"), "--grid"] + grid)
+                       "--out", str(out), "--grid"] + grid)
         assert rc == 2
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_epochs_say_so(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(MINI_CFG.replace("epochs = 1\n", "epochs = 0\n"))
+        rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
+                       "--out", str(tmp_path / "o"), "--config", str(cfg),
+                       "--grid", "heads=1,2"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "{'heads': 1} -> no epochs run", "{'heads': 2} -> no epochs run"]

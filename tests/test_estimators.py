@@ -129,7 +129,7 @@ GOLDEN = {
         lambda m: TentAdapter(m, AdaptConfig(lr=0.0, epochs=2), 44), False,
         "3462c4a231217f5428f5fb96bf8ee4a1042bdfe9a4614ba2d4e3fa81e2702dfc"),
     "ptbn": (
-        lambda m: PtbnAdapter(m, 45), False,
+        lambda m: PtbnAdapter(m, AdaptConfig(), 45), False,
         "068518e444456191fed7aca68a2d526fe1a4cb24870a396b78a25bb8c0173990"),
     "selftrain": (
         lambda m: SelfTrainAdapter(m, AdaptConfig(epochs=2, lr=1e-3), 46), False,
@@ -366,7 +366,7 @@ class TestMultiHeadAdapter:
 class TestPtbn:
     def test_zero_batches_leave_the_model_bitwise_unchanged(self, pretrained):
         empty = UnlabeledSet(np.zeros((0, 1, 16, 16), np.float32), np.zeros(0, int), [])
-        a = PtbnAdapter(pretrained, 0).fit(empty)
+        a = PtbnAdapter(pretrained, AdaptConfig(), 0).fit(empty)
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, params_of(pretrained)[n])
         ref = bn_state_of(pretrained)
@@ -376,7 +376,7 @@ class TestPtbn:
 
     def test_only_bn_statistics_move(self, toy_data, pretrained):
         train, val = toy_data
-        a = PtbnAdapter(pretrained, 0).fit(train.drop_labels(), val)
+        a = PtbnAdapter(pretrained, AdaptConfig(), 0).fit(train.drop_labels(), val)
         ref = params_of(pretrained)
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, ref[n]), n  # gamma/beta included
@@ -387,7 +387,7 @@ class TestPtbn:
 
     def test_first_layer_stats_match_streaming_oracle(self, toy_data, pretrained):
         train, val = toy_data
-        a = PtbnAdapter(pretrained, 0).fit(train.drop_labels(), val)
+        a = PtbnAdapter(pretrained, AdaptConfig(), 0).fit(train.drop_labels(), val)
         w = pretrained.named_parameters()["enc.l0.c1.w"].data
         b = pretrained.named_parameters()["enc.l0.c1.b"].data
         batches = [conv2d_f64(train.images[train.case_slices(c)], w, b)
@@ -405,7 +405,7 @@ class TestPtbn:
 
     def test_validation_recorded_when_given(self, toy_data, pretrained):
         train, val = toy_data
-        a = PtbnAdapter(pretrained, 0).fit(train.drop_labels(), val)
+        a = PtbnAdapter(pretrained, AdaptConfig(), 0).fit(train.drop_labels(), val)
         assert len(a.log_.records) == 1
         assert 0.0 <= a.best_val_dice_ <= 1.0
 

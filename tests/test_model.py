@@ -231,10 +231,20 @@ class TestGrowClone:
 
 
 class TestAdam:
-    def test_lr_must_be_positive(self):
+    @pytest.mark.parametrize("lr", [-1.0, float("nan")])
+    def test_lr_must_be_non_negative(self, lr):
         p = ad.Tensor(np.zeros(3, np.float32), requires_grad=True)
         with pytest.raises(ValueError):
-            Adam([p], lr=0.0)
+            Adam([p], lr=lr)
+
+    def test_lr_zero_steps_leave_parameters_unchanged(self):
+        p = ad.Tensor(np.array([1.0, -2.0, 0.0], np.float32), requires_grad=True)
+        opt = Adam([p], lr=0.0)
+        snap = p.data.tobytes()
+        for _ in range(3):
+            p.grad = np.array([0.5, -3.0, 1e-12], np.float32)
+            opt.step()
+        assert p.data.tobytes() == snap and opt.t == 3
 
     def test_none_and_zero_gradients_leave_parameters_unchanged(self):
         p = ad.Tensor(np.array([1.0, -2.0], np.float32), requires_grad=True)
