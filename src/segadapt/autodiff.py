@@ -4,7 +4,8 @@ A ``Tensor`` wraps a float32 ndarray. Gradients are recorded on an explicit
 ``Tape``: ops append backward steps while a tape is active, and
 ``Tape.backward(scalar)`` replays them in reverse. With no active tape every
 op is a plain forward computation (the no-tape mode used by pseudo-label
-passes and inference). Tapes are per forward pass and discarded after use.
+passes and inference). A tape records one forward pass, and its backward
+empties it: each step, with the arrays it kept, is dropped once replayed.
 
 Every primitive is written the same way: compute the forward value from the
 inputs' ``.data``, then return ``_node(value, parents, grads)``. ``parents``
@@ -190,7 +191,8 @@ class Tape:
     """Ordered record of backward steps for one forward pass.
 
     Use as a context manager; nesting is not supported. ``backward`` may be
-    called once, after which the tape should be dropped.
+    called once. It empties the tape, and afterwards only leaves (tensors
+    this tape did not make) hold ``.grad``.
 
     Steps are kept in blocks: each ``Segment`` is one block, and so is each
     run of steps recorded outside segments. A segment's steps read only
@@ -240,24 +242,25 @@ class Tape:
         return self._serial, i
 
     def backward(self, loss: Tensor):
-        """Seed d(loss)/d(loss)=1 and accumulate gradients into leaves."""
+        """Seed d(loss)/d(loss)=1 and accumulate gradients into leaves.
+
+        Each step leaves the tape as it is replayed, and each tensor the tape
+        made gives up its ``.grad`` once the gradient is passed on, so what
+        only the tape held is freed during the replay. Afterwards the tape is
+        empty and only leaves hold ``.grad``."""
         if loss.data.size != 1:
             raise ValueError(f"backward needs a scalar, got shape {loss.data.shape}")
         if self._used:
             raise RuntimeError("tape already replayed; build a fresh tape per step")
         self._used = True
         loss.grad = np.ones_like(loss.data)
-        if not self._heads:
-            for steps in reversed(self._blocks):
-                for fn in reversed(steps):
-                    fn(None)
-            return
         # each block's leaf gradients wait in its sink, in replay order
         sinks = [[] for _ in self._blocks]
 
         def replay(i):
-            for fn in reversed(self._blocks[i]):
-                fn(sinks[i])
+            steps = self._blocks[i]
+            while steps:
+                steps.pop()(sinks[i])
 
         for i in reversed(range(len(self._blocks))):
             if i not in self._heads:
@@ -296,11 +299,11 @@ def _node(data, parents, grads) -> Tensor:
     The output requires grad when any parent does; only then, and only while
     a tape is active, is a step recorded. Replayed, the step does nothing if
     the output received no gradient; otherwise ``grads(out.grad)`` yields one
-    gradient per parent, in parent order, and each one that is not None is
-    accumulated into its parent if that parent requires grad (the first one
-    is copied). Replayed with a sink, a gradient for a parent this tape did
-    not make is appended to the sink instead. This is the only place that
-    appends to a tape.
+    gradient per parent, in parent order, and each one that is not None goes
+    to its parent if that parent requires grad: appended to the replay's
+    sink for a parent this tape did not make (a leaf), else accumulated into
+    the parent's ``.grad`` (the first one is copied). The step then clears
+    ``out.grad``. This is the only place that appends to a tape.
     """
     out = Tensor(data, any(p.requires_grad for p in parents))
     tape = _ACTIVE_TAPE
@@ -308,12 +311,13 @@ def _node(data, parents, grads) -> Tensor:
         serial = tape._serial
 
         def step(sink):
-            if out.grad is None:
+            g_out, out.grad = out.grad, None
+            if g_out is None:
                 return
-            for p, g in zip(parents, grads(out.grad)):
+            for p, g in zip(parents, grads(g_out)):
                 if g is None or not p.requires_grad:
                     continue
-                if sink is not None and (p._block is None or p._block[0] != serial):
+                if p._block is None or p._block[0] != serial:
                     sink.append((p, g))
                 else:
                     p.grad = g.astype(DTYPE, copy=True) if p.grad is None else p.grad + g
@@ -615,6 +619,10 @@ class BatchNorm2d:
     rebound to new arrays, never written in place, and ``num_batches`` counts
     the blends. Eval mode uses the running buffers and refuses to run before
     any batch has been seen.
+
+    On a tape the step keeps its input (a parent) and the per-channel mean
+    and inverse std the forward used, and backward recomputes the normalized
+    input from them, by the forward's own ops, instead of keeping it.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -645,14 +653,17 @@ class BatchNorm2d:
         else:
             if self.num_batches == 0:
                 raise RuntimeError("batchnorm eval mode before any running statistics exist")
-            diff = x.data - self.running_mean.reshape(c)
+            # the object itself: a later train-mode forward rebinds the attribute
+            mean = self.running_mean
+            diff = x.data - mean.reshape(c)
             var = self.running_var
         invstd = 1.0 / np.sqrt(var + DTYPE(self.eps))
-        xhat = diff * invstd.reshape(c)
+        y = gamma.data.reshape(c) * (diff * invstd.reshape(c)) + beta.data.reshape(c)
         N = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
         def grads(g):
             # yields in parent order: dbeta, dgamma, dx (only if x needs it)
+            xhat = (x.data - mean.reshape(c)) * invstd.reshape(c)
             yield g.sum(axis=(0, 2, 3))
             yield (g * xhat).sum(axis=(0, 2, 3))
             if not x.requires_grad:
@@ -665,4 +676,4 @@ class BatchNorm2d:
             s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(c)
             yield ((invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE, copy=False)
 
-        return _node(gamma.data.reshape(c) * xhat + beta.data.reshape(c), (beta, gamma, x), grads)
+        return _node(y, (beta, gamma, x), grads)

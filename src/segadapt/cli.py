@@ -380,7 +380,9 @@ def cmd_ablate(args) -> int:
     rows = []
     for combo, est in zip(combos, ests):
         est.fit(fit_set, val)
-        rows.append({**combo, "val_dice": est.best_val_dice_, "best_epoch": est.best_epoch_})
+        ran = est.best_epoch_ >= 0  # a point that ran no epoch has no measurement
+        rows.append({**combo, "val_dice": est.best_val_dice_ if ran else "",
+                     "best_epoch": est.best_epoch_ if ran else ""})
         print(f"{combo} -> {_fit_summary(est)}")
     keys = sorted({k for row in rows for k in row})
     sweep_csv = out / "sweep.csv"

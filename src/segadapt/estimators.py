@@ -324,17 +324,15 @@ class PtbnAdapter(SegmentationEstimator):
     distribution; parameters never change. One pass, file order. Reads no
     ``cfg`` value."""
 
-    def fit(self, train: UnlabeledSet, val: LabeledSet | None = None):
+    def fit(self, train: UnlabeledSet, val: LabeledSet):
         work = self.model.clone()
         t0 = time.monotonic()
         for c in range(train.n_cases):
             x = train.images[train.case_slices(c)]
             work.forward_head(x, 0, train=True)  # no tape: statistics only
         log = TrainLog()
-        val_mean, per_class = (float("nan"), [])
-        if val is not None:
-            val_mean, per_class = validation_dice(
-                lambda imgs: infer_single(work, imgs)[0], val, work.num_classes)
+        val_mean, per_class = validation_dice(
+            lambda imgs: infer_single(work, imgs)[0], val, work.num_classes)
         log.append(EpochRecord(0, None, None, per_class, val_mean, None, 0.0,
                                time.monotonic() - t0))
         self.model_ = work

@@ -2,7 +2,11 @@
 central finite differences of float64 reference twins, tape semantics,
 determinism."""
 
+import hashlib
 import math
+import tracemalloc
+import weakref
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -32,6 +36,48 @@ def rand(shape, seed, lo=-2.0, hi=2.0):
 
 def leaf(shape, seed, lo=-2.0, hi=2.0):
     return ad.Tensor(rand(shape, seed, lo, hi), requires_grad=True)
+
+
+# sha256 of release_graph's leaf gradients, as the replay that kept every
+# step and gradient until the tape was dropped computed them
+RELEASE_DIGEST = "d2326ace75b930d8709c08e0fed5fdd92741caa302869cbdeb7ceb9a0002dbf3"
+
+
+def release_graph(segment: bool) -> str:
+    """Backward over two heads that share the leaves x, w, gamma and beta,
+    each using its intermediate ``h`` twice (each head a ``Segment`` when
+    ``segment``). Checks what backward leaves behind: an empty tape, no
+    ``.grad`` on any tensor the tape made, and no array kept alive by the
+    tape once the caller drops it. Returns the sha256 of the leaf gradients."""
+    rng = np.random.default_rng(17)
+    x = ad.Tensor(rng.standard_normal((2, 2, 6, 6)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32), requires_grad=True)
+    bn = ad.BatchNorm2d(2)
+    made = []
+
+    def keep(t):
+        made.append(t)
+        return t
+
+    with ad.Tape() as tape:
+        heads = []
+        for k in range(2):
+            with ad.Segment() if segment else nullcontext():
+                z = keep(bn.forward(keep(ad.conv2d(keep(ad.mul(x, k + 1.0)), w)), train=True))
+                h = keep(ad.leaky_relu(z))
+                heads.append(keep(ad.tsum(keep(ad.mul(h, keep(ad.conv2d(h, w)))))))
+        tape.backward(keep(ad.add(heads[0], heads[1])))
+    assert len(tape) == 0
+    assert [t for t in made if t.grad is not None] == []
+    alive = [weakref.ref(t.data) for t in made]
+    made.clear()
+    heads.clear()
+    del z, h
+    assert [r for r in alive if r() is not None] == []  # while ``tape`` still lives
+    digest = hashlib.sha256()
+    for t in (x, w, bn.gamma, bn.beta):
+        digest.update(t.grad.tobytes())
+    return digest.hexdigest()
 
 
 def conv_grads_f64(x, w, b, g):
@@ -548,6 +594,35 @@ class TestBatchNorm:
 
         fd_assert(ad_loss, ref, [x, bn.gamma, bn.beta])
 
+    def test_taped_train_forward_keeps_no_normalized_copy(self):
+        bn = ad.BatchNorm2d(8)
+        x = leaf((10, 8, 32, 32), 97)
+        tracemalloc.start()
+        try:
+            with ad.Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                y = bn.forward(x, train=True)
+                grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1.5 * y.data.nbytes  # the output, not also x-hat
+
+    def test_eval_step_keeps_the_running_mean_it_normalized_with(self):
+        def grads(train_forward_between: bool):
+            bn = ad.BatchNorm2d(2)
+            bn.forward(ad.Tensor(rand((2, 2, 4, 4), 98, lo=-1, hi=3)), train=True)
+            x = leaf((2, 2, 4, 4), 99)
+            g = rand((2, 2, 4, 4), 100)
+            with ad.Tape() as tape:
+                y = bn.forward(x, train=False)
+                if train_forward_between:  # rebinds running_mean, as the next head does
+                    bn.forward(ad.Tensor(rand((2, 2, 4, 4), 101, lo=4, hi=8)), train=True)
+                tape.backward(ad.tsum(ad.mul(y, g)))
+            return x.grad, bn.gamma.grad, bn.beta.grad
+
+        for ours, ref in zip(grads(True), grads(False)):
+            assert np.array_equal(ours, ref)
+
 
 # ---------------------------------------------------------------------
 # tape and backward semantics
@@ -610,6 +685,9 @@ class TestTape:
             y = ad.leaky_relu(ad.conv2d(x, w, np.zeros(3, np.float32)))
             assert not y.requires_grad
             assert len(tape) == 0
+
+    def test_backward_releases_what_it_replayed(self):
+        assert release_graph(segment=False) == RELEASE_DIGEST
 
     def test_float32_preserved_through_the_graph(self):
         x = leaf((2, 2, 4, 4), 91)

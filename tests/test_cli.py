@@ -805,3 +805,7 @@ class TestAblate:
         assert rc == 0
         assert capsys.readouterr().out.splitlines() == [
             "{'heads': 1} -> no epochs run", "{'heads': 2} -> no epochs run"]
+        with open(tmp_path / "o" / "sweep.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [(r["heads"], r["val_dice"], r["best_epoch"]) for r in rows] == [
+            ("1", "", ""), ("2", "", "")]

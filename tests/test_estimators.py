@@ -364,9 +364,9 @@ class TestMultiHeadAdapter:
 
 
 class TestPtbn:
-    def test_zero_batches_leave_the_model_bitwise_unchanged(self, pretrained):
+    def test_zero_batches_leave_the_model_bitwise_unchanged(self, toy_data, pretrained):
         empty = UnlabeledSet(np.zeros((0, 1, 16, 16), np.float32), np.zeros(0, int), [])
-        a = PtbnAdapter(pretrained, AdaptConfig(), 0).fit(empty)
+        a = PtbnAdapter(pretrained, AdaptConfig(), 0).fit(empty, toy_data[1])
         for n, arr in params_of(a.model_).items():
             assert np.array_equal(arr, params_of(pretrained)[n])
         ref = bn_state_of(pretrained)

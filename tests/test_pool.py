@@ -18,6 +18,7 @@ import segadapt
 from segadapt import autodiff as ad
 from segadapt.config import AdaptConfig
 from segadapt.estimators import MultiHeadAdapter
+from test_autodiff import RELEASE_DIGEST, release_graph
 from test_estimators import GOLDEN, fit_digest, pretrained, toy_data  # noqa: F401 (fixtures)
 
 
@@ -146,6 +147,13 @@ def test_concurrent_segments_match_the_serial_replay(pool, width):
     tasks = pool(width)
     for ours, ref in zip(segment_grads(True), serial):
         assert same_bytes(ours, ref)
+    assert bool(tasks) == (width == 2)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_segment_replay_releases_what_it_replayed(pool, width):
+    tasks = pool(width)
+    assert release_graph(segment=True) == RELEASE_DIGEST
     assert bool(tasks) == (width == 2)
 
 
