@@ -386,13 +386,6 @@ def clamp_min(a, lo: float) -> Tensor:
                  lambda g: (g * (a.data > lo).astype(DTYPE),))
 
 
-def leaky_relu(a, alpha: float = 0.01) -> Tensor:
-    a = as_tensor(a)
-    # for 0 < alpha < 1 this equals the piecewise form, in two ufunc passes
-    return _node(np.maximum(a.data, DTYPE(alpha) * a.data), (a,),
-                 lambda g: (np.where(a.data > 0, g, DTYPE(alpha) * g),))
-
-
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 
@@ -416,13 +409,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     # g.size / a.size rounds to the same float as 1/n, n the count of reduced elements
     return _node(a.data.mean(axis=axis, keepdims=keepdims, dtype=DTYPE), (a,),
                  lambda g: (_unreduce(g, a.data, axis, keepdims) * DTYPE(g.size / a.data.size),))
-
-
-def concat(tensors, axis: int = 1) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors,
-                 lambda g: np.split(g, splits, axis=axis))
 
 
 def flip(a, axis: int) -> Tensor:
@@ -473,10 +459,13 @@ def _check_4d(x: np.ndarray, name: str):
         raise ValueError(f"{name} expects [B,C,H,W], got shape {x.shape}")
 
 
-def conv2d(x, w, b=None) -> Tensor:
+def conv2d(x, w, b=None, skip=None) -> Tensor:
     """2-D convolution, stride 1, odd kernel, zero 'same' padding (k-1)/2.
 
     x: [B,Cin,H,W], w: [Cout,Cin,k,k], b: [Cout] or None. Output [B,Cout,H,W].
+    With ``skip`` [B,Cs,H,W], the input is the channel concatenation of x and
+    skip, written straight into the zero-padded buffer that the columns are
+    built from; the input gradient splits back into x's and skip's channels.
 
     One code path for every shape and kernel size, as GEMMs over a
     channel-major column matrix ``cols[Cin*k*k, B*H*W]``: row (c, i, j) is
@@ -504,22 +493,24 @@ def conv2d(x, w, b=None) -> Tensor:
     rounding depends on the length). Such shapes run as one block.
     """
     x, w = as_tensor(x), as_tensor(w)
-    _check_4d(x.data, "conv2d input")
+    inputs = (x,) if skip is None else (x, as_tensor(skip))
+    for t in inputs:  # a skip of another batch or size fails to concatenate
+        _check_4d(t.data, "conv2d input")
+    chans = [t.data.shape[1] for t in inputs]
     if w.data.ndim != 4:
         raise ValueError(f"conv2d weight must be [Cout,Cin,k,k], got {w.data.shape}")
     Cout, Cin, kh, kw = w.data.shape
     if kh != kw or kh % 2 == 0:
         raise ValueError(f"kernel must be square and odd, got {kh}x{kw}")
-    if x.data.shape[1] != Cin:
-        raise ValueError(f"channel mismatch: input {x.data.shape[1]}, weight {Cin}")
-    parents = (w, x)
+    if sum(chans) != Cin:
+        raise ValueError(f"channel mismatch: input {sum(chans)}, weight {Cin}")
+    parents = (w, *inputs)
     if b is not None:
         b = as_tensor(b)
-        parents = (w, b, x)
+        parents = (w, b, *inputs)
     k, p = kh, (kh - 1) // 2
     B, _, H, W = x.data.shape
     K, HW = Cin * k * k, H * W
-    xdata = x.data
     w2d = w.data.reshape(Cout, K)
     # slice blocks, and whether the pool shares them out
     nb = B if min(Cout, K, HW) == 1 else max(1, min(B, _BLOCK_BYTES // (4 * K * HW)))
@@ -527,7 +518,11 @@ def conv2d(x, w, b=None) -> Tensor:
     split = len(blocks) > 1 and 2 * B * HW * K * Cout >= _WORKERS * _MIN_SHARE_FLOP
 
     def padded():
-        return np.pad(xdata, ((0, 0), (0, 0), (p, p), (p, p))) if p else xdata
+        if not p and skip is None:
+            return x.data
+        xp = np.zeros((B, Cin, H + 2 * p, W + 2 * p), DTYPE)
+        np.concatenate([t.data for t in inputs], axis=1, out=xp[:, :, p : p + H, p : p + W])
+        return xp
 
     def im2col(xp, out):
         # windows: [nb, Cin, H, W, k, k] view over the padded input slices
@@ -549,9 +544,9 @@ def conv2d(x, w, b=None) -> Tensor:
     _each(forward, blocks, split)
 
     def grads(g):
-        # in parent order: dw, db (with a bias), dx
+        # in parent order: dw, db (with a bias), dx (and dskip)
         g2d = g.transpose(1, 0, 2, 3).reshape(Cout, B * HW)
-        dx = np.empty((B, H, W, Cin), DTYPE) if x.requires_grad else None
+        dx = np.empty((B, H, W, Cin), DTYPE) if any(t.requires_grad for t in inputs) else None
 
         def dw():
             return (g2d @ im2col(padded(), np.empty((K, B * HW), DTYPE)).T).reshape(w.shape)
@@ -575,8 +570,9 @@ def conv2d(x, w, b=None) -> Tensor:
                      first=dw if w.requires_grad else None)]
         if b is not None:
             out.append(g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
-        out.append(None if dx is None else dx.transpose(0, 3, 1, 2))
-        return out
+        if dx is None:
+            return out + [None] * len(inputs)
+        return out + np.split(dx.transpose(0, 3, 1, 2), np.cumsum(chans)[:-1], axis=1)
 
     return _node(y.reshape(B, H, W, Cout).transpose(0, 3, 1, 2), parents, grads)
 
@@ -612,7 +608,8 @@ def upsample_nearest2x(x) -> Tensor:
 
 
 class BatchNorm2d:
-    """Per-channel batch normalization state (eps 1e-5, momentum 0.1).
+    """Per-channel batch normalization (eps 1e-5, momentum 0.1), then a leaky
+    ReLU of slope ``leak`` in [0, 1]; the default slope 1 is plain BatchNorm.
 
     Train mode normalizes with population batch statistics alone, then blends
     them into the running buffers: ``running_mean`` and ``running_var`` are
@@ -620,15 +617,19 @@ class BatchNorm2d:
     the blends. Eval mode uses the running buffers and refuses to run before
     any batch has been seen.
 
-    On a tape the step keeps its input (a parent) and the per-channel mean
-    and inverse std the forward used, and backward recomputes the normalized
+    The activation ``max(y, leak * y)`` runs in place on the normalized y. Its
+    output is > 0 exactly where y is (NaN and -0.0 included), so backward
+    takes the branch from the sign of the node's own output, which its
+    consumer keeps anyway. The step keeps the input (a parent) and the
+    per-channel mean and inverse std, and backward recomputes the normalized
     input from them, by the forward's own ops, instead of keeping it.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, leak: float = 1.0):
         self.channels = channels
         self.eps = float(eps)
         self.momentum = float(momentum)
+        self.leak = float(leak)
         self.gamma = Tensor(np.ones(channels, dtype=DTYPE), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=DTYPE), requires_grad=True)
         self.running_mean = np.zeros(channels, dtype=DTYPE)
@@ -659,10 +660,13 @@ class BatchNorm2d:
             var = self.running_var
         invstd = 1.0 / np.sqrt(var + DTYPE(self.eps))
         y = gamma.data.reshape(c) * (diff * invstd.reshape(c)) + beta.data.reshape(c)
+        leak = DTYPE(self.leak)
+        np.maximum(y, leak * y, out=y)
         N = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
 
         def grads(g):
             # yields in parent order: dbeta, dgamma, dx (only if x needs it)
+            g = np.where(y > 0, g, leak * g)
             xhat = (x.data - mean.reshape(c)) * invstd.reshape(c)
             yield g.sum(axis=(0, 2, 3))
             yield (g * xhat).sum(axis=(0, 2, 3))

@@ -259,16 +259,26 @@ def _write_results_csv(path, results: list):
 
 
 def _read_results_csv(path) -> list:
+    """CaseResults of a results CSV; DatasetError on undecodable bytes or cells."""
     results = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        need = {"method", "case_id", "class", "dice", "assd", "flags"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-            raise DatasetError(f"{path}: not a results CSV (columns {reader.fieldnames})")
-        for row in reader:
-            results.append(CaseResult(row["method"], row["case_id"], int(row["class"]),
-                                      float(row["dice"]),
-                                      float(row["assd"]) if row["assd"] else float("nan")))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.DictReader(f)
+            need = {"method", "case_id", "class", "dice", "assd", "flags"}
+            if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+                raise DatasetError(f"{path}: not a results CSV (columns {reader.fieldnames})")
+            for row in reader:
+                try:  # a short row's missing cells are None
+                    cls, dice = int(row["class"]), float(row["dice"])
+                    dist = float(row["assd"]) if row["assd"] else np.nan
+                except (TypeError, ValueError):
+                    cls, dice, dist = None, np.nan, np.nan
+                if not (0.0 <= dice <= 1.0 and (not row["assd"] or 0.0 <= dist < np.inf)):
+                    raise DatasetError(f"{path} line {reader.line_num}: needs an integer class, "
+                                       "a dice in [0, 1] and an empty or finite assd >= 0")
+                results.append(CaseResult(row["method"], row["case_id"], cls, dice, dist))
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"{path}: not UTF-8 ({e})") from e
     return results
 
 
@@ -400,6 +410,13 @@ def cmd_ablate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer in [0, 2^64), the range of a root seed."""
+    if not (text.isascii() and text.isdigit() and int(text) < 2**64):
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="segadapt",
                                 description="source-free segmentation adaptation toolkit")
@@ -408,27 +425,21 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen-data", help="write the synthetic two-domain benchmark")
     g.add_argument("--out", required=True)
     g.add_argument("--benchmark", help="benchmark name (default: from config)")
-    g.add_argument("--config")
-    g.add_argument("--seed", type=int, default=0)
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("pretrain", help="supervised source training")
     t.add_argument("--data", required=True, help="directory from gen-data")
     t.add_argument("--out", required=True)
-    t.add_argument("--config")
-    t.add_argument("--seed", type=int, default=0)
     t.set_defaults(func=cmd_pretrain)
 
     a = sub.add_parser("adapt", help="adapt a source checkpoint to the target domain")
     a.add_argument("--checkpoint", help="source checkpoint (unused for target-only)")
     a.add_argument("--data", required=True)
     a.add_argument("--out", required=True)
-    a.add_argument("--config")
     a.add_argument("--method", default="upl",
                    choices=[*ADAPTERS, "target-only"])
     a.add_argument("--ablate", help=f"comma list from {','.join(ABLATIONS)} (upl only)")
     a.add_argument("--dump-maps", help="directory for PGM pseudo-label dumps")
-    a.add_argument("--seed", type=int, default=0)
     a.set_defaults(func=cmd_adapt)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on one dataset file")
@@ -438,19 +449,18 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--mode", default="ensemble", choices=["ensemble", "single"])
     e.add_argument("--baseline", help="earlier results CSV for a paired t-test")
     e.add_argument("--name", help="method column value (default: the mode)")
-    e.add_argument("--config")
-    e.add_argument("--seed", type=int, default=0)
     e.set_defaults(func=cmd_eval)
 
     b = sub.add_parser("ablate", help="hyperparameter sweep of the adaptation")
     b.add_argument("--checkpoint", required=True)
     b.add_argument("--data", required=True)
     b.add_argument("--out", required=True)
-    b.add_argument("--config")
     b.add_argument("--grid", nargs="+", required=True,
                    help="axes like heads=1,2,4 tau=0.9,0.95 entropy_weight=0.5,1")
-    b.add_argument("--seed", type=int, default=0)
     b.set_defaults(func=cmd_ablate)
+    for cmd in (g, t, a, e, b):
+        cmd.add_argument("--config")
+        cmd.add_argument("--seed", type=_seed, default=0)
     return p
 
 

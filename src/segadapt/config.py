@@ -88,6 +88,8 @@ def parse_config(path) -> Config:
         cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as e:
         raise ConfigError(str(e)) from e
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"config file {path} is not UTF-8 ({e})") from e
     cfg = default_config()
     for section in cp.sections():
         if section not in _SECTIONS:

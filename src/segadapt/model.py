@@ -1,10 +1,11 @@
 """Small encoder-decoder segmentation network with duplicable decoder heads.
 
 Default architecture: 2 levels, channels 8 -> 16 -> 32, two conv+BN+leaky-ReLU
-blocks per level, 2x2 max-pool down, nearest-2x-plus-conv up, skip
-concatenation, 1x1 output conv per head, channel softmax. A model starts with
-one head; ``grow`` duplicates the head bitwise K times and attaches an
-independent dropout gate to each copy's input feature map.
+units per level (two tape nodes each: BatchNorm applies the activation),
+2x2 max-pool down, nearest-2x-plus-conv up, a skip that the conv after it
+takes as extra input channels, 1x1 output conv per head, channel softmax. A
+model starts with one head; ``grow`` duplicates the head bitwise K times and
+attaches an independent dropout gate to each copy's input feature map.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class ArchConfig:
             raise ValueError("kernel must be odd")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0,1)")
+        if not 0.0 <= self.leak < 1.0:
+            raise ValueError("leak must be in [0,1)")
 
     def check_input(self, shape):
         """ValueError unless ``shape`` is a [B,C,H,W] batch this network takes:
@@ -74,24 +77,22 @@ class Conv2d:
         self.w = Tensor(_he_init(rng, (cout, cin, k, k)), requires_grad=True)
         self.b = Tensor(np.zeros(cout, dtype=np.float32), requires_grad=True)
 
-    def forward(self, x):
-        return ad.conv2d(x, self.w, self.b)
+    def forward(self, x, skip=None):
+        return ad.conv2d(x, self.w, self.b, skip)
 
 
 class ConvBlock:
-    """Two conv+BN+leaky-ReLU units."""
+    """Two conv+BN+leaky-ReLU units; ``skip`` joins the first conv's input."""
 
     def __init__(self, cin: int, cout: int, k: int, leak: float, rng):
         self.c1 = Conv2d(cin, cout, k, rng)
-        self.n1 = BatchNorm2d(cout)
+        self.n1 = BatchNorm2d(cout, leak=leak)
         self.c2 = Conv2d(cout, cout, k, rng)
-        self.n2 = BatchNorm2d(cout)
-        self.leak = leak
+        self.n2 = BatchNorm2d(cout, leak=leak)
 
-    def forward(self, x, train: bool):
-        x = ad.leaky_relu(self.n1.forward(self.c1.forward(x), train), self.leak)
-        x = ad.leaky_relu(self.n2.forward(self.c2.forward(x), train), self.leak)
-        return x
+    def forward(self, x, train: bool, skip=None):
+        x = self.n1.forward(self.c1.forward(x, skip), train)
+        return self.n2.forward(self.c2.forward(x), train)
 
 
 class Encoder:
@@ -115,19 +116,17 @@ class Encoder:
 
 
 class UpStage:
-    """nearest-2x + conv halving channels, concat skip, then a conv block."""
+    """nearest-2x + conv halving channels, then a conv block over that and
+    the skip."""
 
     def __init__(self, cin: int, cout: int, k: int, leak: float, rng):
         self.up = Conv2d(cin, cout, k, rng)
-        self.un = BatchNorm2d(cout)
+        self.un = BatchNorm2d(cout, leak=leak)
         self.block = ConvBlock(2 * cout, cout, k, leak, rng)
-        self.leak = leak
 
     def forward(self, x, skip, train: bool):
-        x = ad.upsample_nearest2x(x)
-        x = ad.leaky_relu(self.un.forward(self.up.forward(x), train), self.leak)
-        x = ad.concat([x, skip], axis=1)
-        return self.block.forward(x, train)
+        x = self.un.forward(self.up.forward(ad.upsample_nearest2x(x)), train)
+        return self.block.forward(x, train, skip)
 
 
 class Decoder:

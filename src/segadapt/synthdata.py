@@ -4,8 +4,8 @@ Cases are short stacks of square slices containing a filled ellipse (class 1)
 wrapped by an elliptical ring (class 2) on background (class 0), with
 geometry drifting smoothly across slices. Both domains draw geometry from the
 same sampler; appearance (intensity means, texture, gamma, additive bias
-field, noise, optional contrast inversion) comes from a DomainSpec. Images
-are percentile-clipped and linearly mapped to [-1, 1] per slice.
+field, noise) comes from a DomainSpec. Images are percentile-clipped and
+linearly mapped to [-1, 1] per slice.
 """
 
 from __future__ import annotations

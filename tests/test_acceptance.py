@@ -120,24 +120,23 @@ class TestGradientAudit:
             [xb, bn.gamma, bn.beta],
         )
 
-        # keep every entry away from the kink at zero so the difference
-        # quotient stays on one branch
-        raw = rng.standard_normal((2, 4, 4)).astype(np.float32)
-        xr = Tensor((raw + np.sign(raw) * np.float32(0.05)).astype(np.float32), requires_grad=True)
-        rr = coeffs((2, 4, 4))
-        check(
-            "relu",
-            lambda: _weighted_sum(ad.leaky_relu(xr, 0.0), rr),
-            lambda: float((np.maximum(xr.data.astype(np.float64), 0.0) * rr).sum()),
-            [xr],
-        )
-        xl = Tensor((raw + np.sign(raw) * np.float32(0.05)).astype(np.float32), requires_grad=True)
-        check(
-            "leaky-relu",
-            lambda: _weighted_sum(ad.leaky_relu(xl, 0.01), rr),
-            lambda: float((np.asarray(leaky_f64(xl.data, 0.01)) * rr).sum()),
-            [xl],
-        )
+        # BatchNorm's activation: keep every normalized entry away from the
+        # kink at zero so the difference quotient stays on one branch. The
+        # batch's second slice mirrors its first, so the batch mean is ~0 and
+        # at gamma 1, beta 0 each entry keeps its sign and distance.
+        raw = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
+        half = raw + np.sign(raw) * np.float32(0.05)
+        rr = coeffs((2, 2, 4, 4))
+        for name, leak in (("relu", 0.0), ("leaky-relu", 0.01)):
+            bnl = BatchNorm2d(2, leak=leak)
+            xl = Tensor(np.concatenate([half, -half]), requires_grad=True)
+            check(
+                f"batchnorm-{name}",
+                lambda: _weighted_sum(bnl.forward(xl, train=True), rr),
+                lambda: float((leaky_f64(bn_train_f64(xl.data, bnl.gamma.data, bnl.beta.data,
+                                                      bnl.eps), leak) * rr).sum()),
+                [xl, bnl.gamma, bnl.beta],
+            )
 
         # distinct values with gaps far above 2h keep the pooling argmax fixed
         xm = Tensor(0.1 * rng.permutation(np.arange(72, dtype=np.float32)).reshape(1, 2, 6, 6),
@@ -161,12 +160,15 @@ class TestGradientAudit:
 
         ca = Tensor(rng.standard_normal((1, 2, 3, 3)).astype(np.float32), requires_grad=True)
         cb = Tensor(rng.standard_normal((1, 3, 3, 3)).astype(np.float32), requires_grad=True)
-        rc = coeffs((1, 5, 3, 3))
+        wc = Tensor((0.3 * rng.standard_normal((2, 5, 3, 3))).astype(np.float32),
+                    requires_grad=True)
+        rc = coeffs((1, 2, 3, 3))
         check(
-            "concat",
-            lambda: _weighted_sum(ad.concat([ca, cb], axis=1), rc),
-            lambda: float((np.concatenate([ca.data, cb.data], axis=1).astype(np.float64) * rc).sum()),
-            [ca, cb],
+            "conv2d-skip",
+            lambda: _weighted_sum(ad.conv2d(ca, wc, skip=cb), rc),
+            lambda: float((np.asarray(conv2d_f64(np.concatenate([ca.data, cb.data], axis=1),
+                                                 wc.data)) * rc).sum()),
+            [ca, cb, wc],
         )
 
         xd = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)

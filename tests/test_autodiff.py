@@ -52,7 +52,7 @@ def release_graph(segment: bool) -> str:
     rng = np.random.default_rng(17)
     x = ad.Tensor(rng.standard_normal((2, 2, 6, 6)).astype(np.float32), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32), requires_grad=True)
-    bn = ad.BatchNorm2d(2)
+    bn = ad.BatchNorm2d(2, leak=0.01)
     made = []
 
     def keep(t):
@@ -63,8 +63,7 @@ def release_graph(segment: bool) -> str:
         heads = []
         for k in range(2):
             with ad.Segment() if segment else nullcontext():
-                z = keep(bn.forward(keep(ad.conv2d(keep(ad.mul(x, k + 1.0)), w)), train=True))
-                h = keep(ad.leaky_relu(z))
+                h = keep(bn.forward(keep(ad.conv2d(keep(ad.mul(x, k + 1.0)), w)), train=True))
                 heads.append(keep(ad.tsum(keep(ad.mul(h, keep(ad.conv2d(h, w)))))))
         tape.backward(keep(ad.add(heads[0], heads[1])))
     assert len(tape) == 0
@@ -72,7 +71,7 @@ def release_graph(segment: bool) -> str:
     alive = [weakref.ref(t.data) for t in made]
     made.clear()
     heads.clear()
-    del z, h
+    del h
     assert [r for r in alive if r() is not None] == []  # while ``tape`` still lives
     digest = hashlib.sha256()
     for t in (x, w, bn.gamma, bn.beta):
@@ -101,6 +100,17 @@ def conv_grads_f64(x, w, b, g):
             "dx": conv2d_f64(g, w.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]),
             "dw": dw,
             "db": g.sum(axis=(0, 2, 3), dtype=np.float64)}
+
+
+def mirrored_leaf(seed):
+    """[2,2,4,4] leaf whose second slice is minus its first, every entry at
+    least 0.05 from zero: train-mode BatchNorm at gamma 1, beta 0 keeps each
+    entry's sign, and every output stays clear of the activation's kink."""
+    half = rand((1, 2, 4, 4), seed)
+    half += np.sign(half) * np.float32(0.05)
+    a = np.concatenate([half, -half])
+    assert np.abs(ad.BatchNorm2d(2).forward(ad.Tensor(a), train=True).data).min() > 0.04
+    return ad.Tensor(a, requires_grad=True)
 
 
 def fd_assert(ad_fn, ref_fn, tensors, p99=1e-3, worst=1e-2, floor=0.01):
@@ -140,11 +150,15 @@ class TestElementwise:
         b = rand((5, 5), 4)
         assert np.array_equal(ad.clamp_min(ad.Tensor(b), 0.25).data,
                               np.maximum(b, np.float32(0.25)))
-        assert np.array_equal(ad.leaky_relu(ad.Tensor(b), 0.0).data, np.maximum(b, 0))
-        lr = ad.leaky_relu(ad.Tensor(b), 0.01).data
+        # BatchNorm's activation on the plain (slope 1) output
+        b4 = b.reshape(1, 1, 5, 5)
+        plain = ad.BatchNorm2d(1).forward(ad.Tensor(b4), train=True).data[0, 0]
+        relu = ad.BatchNorm2d(1, leak=0.0).forward(ad.Tensor(b4), train=True).data[0, 0]
+        assert np.array_equal(relu, np.maximum(plain, 0))
+        lr = ad.BatchNorm2d(1, leak=0.01).forward(ad.Tensor(b4), train=True).data[0, 0]
         for i in range(5):
             for j in range(5):
-                x = float(b[i, j])
+                x = float(plain[i, j])
                 want = x if x > 0 else 0.01 * x
                 assert abs(lr[i, j] - want) <= 1e-6
 
@@ -181,21 +195,24 @@ class TestElementwise:
         assert t.grad.tolist() == [[0.0, 1.0]]
 
     def test_leaky_relu_gradients(self):
-        a = leaf((4, 4), 14)
-        a.data[np.abs(a.data) < 0.05] += 0.1
+        a = mirrored_leaf(14)
+        bn = ad.BatchNorm2d(2, leak=0.01)
 
         def ref():
-            x = a.data.astype(np.float64)
-            return float((leaky_f64(x) * x).sum())
+            h = leaky_f64(bn_train_f64(a.data, bn.gamma.data, bn.beta.data, bn.eps))
+            return float((h * a.data.astype(np.float64)).sum())
 
-        fd_assert(lambda: ad.tsum(ad.leaky_relu(a) * a), ref, [a])
+        fd_assert(lambda: ad.tsum(bn.forward(a, train=True) * a), ref, [a, bn.gamma, bn.beta])
 
     def test_relu_gradients(self):
-        a = leaf((4, 4), 17)
-        a.data[np.abs(a.data) < 0.05] += 0.1
-        fd_assert(lambda: ad.tsum(ad.leaky_relu(a, 0.0) * a),
-                  lambda: float((np.maximum(a.data.astype(np.float64), 0) * a.data.astype(np.float64)).sum()),
-                  [a])
+        a = mirrored_leaf(17)
+        bn = ad.BatchNorm2d(2, leak=0.0)
+
+        def ref():
+            h = np.maximum(bn_train_f64(a.data, bn.gamma.data, bn.beta.data, bn.eps), 0)
+            return float((h * a.data.astype(np.float64)).sum())
+
+        fd_assert(lambda: ad.tsum(bn.forward(a, train=True) * a), ref, [a, bn.gamma, bn.beta])
 
     def test_broadcasting_gradient_reduces_correctly(self):
         a = leaf((3, 1, 4), 15)
@@ -210,7 +227,7 @@ class TestElementwise:
 
 
 # ---------------------------------------------------------------------
-# reductions, concat, indexing, spatial permutations
+# reductions, indexing, spatial permutations
 # ---------------------------------------------------------------------
 
 class TestShapeOps:
@@ -237,21 +254,6 @@ class TestShapeOps:
             return float((m * m).sum())
 
         fd_assert(lambda: ad.tsum(ad.tmean(a, axis=0) * ad.tmean(a, axis=0)), ref, [a])
-
-    def test_concat_forward_and_gradient(self):
-        a = leaf((2, 2, 3, 3), 23)
-        b = leaf((2, 4, 3, 3), 24)
-        cat = ad.concat([a, b], axis=1)
-        assert cat.data.shape == (2, 6, 3, 3)
-        assert np.array_equal(cat.data[:, :2], a.data)
-        assert np.array_equal(cat.data[:, 2:], b.data)
-
-        def ref():
-            c = np.concatenate([a.data, b.data], axis=1).astype(np.float64)
-            return float((c * c).sum())
-
-        fd_assert(lambda: ad.tsum(ad.concat([a, b], axis=1) * ad.concat([a, b], axis=1)),
-                  ref, [a, b])
 
     def test_flip_and_rot90_match_index_arithmetic(self):
         a = rand((2, 3, 4, 4), 26)
@@ -399,6 +401,22 @@ class TestConv2d:
         y = ad.conv2d(ad.Tensor(x), ad.Tensor(w)).data
         assert np.abs(y - conv2d_loop(x, w)).max() <= 1e-5
 
+    def test_skip_convolves_the_channel_concatenation(self):
+        a = leaf((2, 2, 3, 3), 23)
+        s = leaf((2, 4, 3, 3), 24)
+        w = leaf((3, 6, 3, 3), 25)
+        b = leaf((3,), 26)
+        g = rand((2, 3, 3, 3), 27)
+        cat = np.concatenate([a.data, s.data], axis=1)
+        y = ad.conv2d(a, w, b, skip=s).data
+        assert np.abs(y - conv2d_loop(cat, w.data, b.data)).max() <= 1e-5
+
+        def ref():
+            c = np.concatenate([a.data, s.data], axis=1)
+            return float((conv2d_f64(c, w.data, b.data) * g.astype(np.float64)).sum())
+
+        fd_assert(lambda: ad.tsum(ad.conv2d(a, w, b, skip=s) * ad.Tensor(g)), ref, [a, s, w, b])
+
     def test_gradients_match_finite_differences(self):
         x = leaf((1, 2, 5, 5), 54)
         w = leaf((3, 2, 3, 3), 55)
@@ -444,6 +462,10 @@ class TestConv2d:
             ad.conv2d(ad.Tensor(rand((1, 3, 4, 4), 58)), ad.Tensor(rand((2, 2, 3, 3), 59)))
         with pytest.raises(ValueError):
             ad.conv2d(ad.Tensor(rand((1, 2, 4, 4), 60)), ad.Tensor(rand((2, 2, 2, 2), 61)))
+        x, w = ad.Tensor(rand((1, 2, 4, 4), 64)), ad.Tensor(rand((2, 3, 3, 3), 65))
+        for skip in ((1, 2, 4, 4), (1, 1, 4, 2), (2, 1, 4, 4), (1, 4, 4)):
+            with pytest.raises(ValueError):  # channels, size, batch, rank
+                ad.conv2d(x, w, skip=ad.Tensor(rand(skip, 66)))
 
 
 # ---------------------------------------------------------------------
@@ -607,6 +629,23 @@ class TestBatchNorm:
             tracemalloc.stop()
         assert grown < 1.5 * y.data.nbytes  # the output, not also x-hat
 
+    def test_taped_conv_unit_keeps_no_pre_activation_copy(self):
+        bn = ad.BatchNorm2d(8, leak=0.01)
+        x = leaf((10, 8, 32, 32), 102)
+        w = leaf((8, 8, 3, 3), 103)
+        ad.conv2d(x, w)  # conv2d's reused scratch buffers, made before counting
+        tracemalloc.start()
+        try:
+            with ad.Tape():
+                before = tracemalloc.get_traced_memory()[0]
+                y = bn.forward(ad.conv2d(x, w), train=True)
+                grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the conv output and the activated output, not also BatchNorm's
+        # output before the activation
+        assert grown < 2.5 * y.data.nbytes
+
     def test_eval_step_keeps_the_running_mean_it_normalized_with(self):
         def grads(train_forward_between: bool):
             bn = ad.BatchNorm2d(2)
@@ -680,9 +719,9 @@ class TestTape:
 
     def test_ops_on_constants_inside_a_tape_record_nothing(self):
         x = ad.Tensor(rand((1, 2, 4, 4), 95))
-        w = ad.Tensor(rand((3, 2, 3, 3), 96))
+        w = ad.Tensor(rand((3, 4, 3, 3), 96))
         with ad.Tape() as tape:
-            y = ad.leaky_relu(ad.conv2d(x, w, np.zeros(3, np.float32)))
+            y = ad.maxpool2d(ad.conv2d(x, w, np.zeros(3, np.float32), skip=x))
             assert not y.requires_grad
             assert len(tape) == 0
 
@@ -711,14 +750,13 @@ def test_composite_conv_bn_relu_softmax_dice_gradients():
     x = leaf((1, 2, 8, 8), 100)
     w = leaf((2, 2, 3, 3), 101)
     b = leaf((2,), 102)
-    bn = ad.BatchNorm2d(2)
+    bn = ad.BatchNorm2d(2, leak=0.01)
     y = np.eye(2, dtype=np.float32)[(rand((8, 8), 103) > 0).astype(int)].transpose(2, 0, 1)[None]
     m = np.ones((1, 8, 8), np.float32)
 
     def ad_loss():
         h = ad.conv2d(x, w, b)
         h = bn.forward(h, train=True)
-        h = ad.leaky_relu(h)
         p = ad.softmax_channel(h)
         return weighted_dice_loss(p, y, m)
 

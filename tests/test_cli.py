@@ -7,6 +7,7 @@ one pre-trained checkpoint that the command tests share.
 
 import csv
 import hashlib
+import io
 import json
 import struct
 import zlib
@@ -144,6 +145,13 @@ class TestConfigErrors:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert self.run_gen(tmp_path / "absent.cfg", tmp_path) == 2
 
+    def test_config_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes("[data]\n# caf\xe9\nn_cases = 10\n".encode("latin-1"))
+        assert self.run_gen(bad, tmp_path) == 2
+        assert "latin1.cfg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("section", ["pretrain", "adapt"])
     @pytest.mark.parametrize("key,value", [("epochs", "-1"), ("batch", "0"),
                                            ("batch", "abc")])
@@ -236,6 +244,30 @@ class TestConfigErrors:
         cfg = tmp_path / "tent.cfg"
         cfg.write_text("[adapt]\nlr = 0\nentropy_weight = 0\n")
         assert parse_config(cfg).adapt.lr == 0.0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["gen-data", "pretrain", "adapt", "eval", "ablate"])
+def test_seed_out_of_range_exits_2_before_out(ws, tmp_path, capsys, command, seed):
+    out = tmp_path / "o"
+    argv = {"gen-data": ["--out", out],
+            "pretrain": ["--data", ws.data, "--out", out],
+            "adapt": ["--checkpoint", ws.ckpt, "--data", ws.data, "--out", out],
+            "eval": ["--checkpoint", ws.ckpt, "--data", ws.data / "target_test.upld",
+                     "--out", out / "r.csv"],
+            "ablate": ["--checkpoint", ws.ckpt, "--data", ws.data, "--out", out,
+                       "--grid", "heads=1"]}[command]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, *map(str, argv), "--seed", seed])
+    assert exit_.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_seed_takes_the_whole_u64_range():
+    for seed in (0, 2**64 - 1):
+        args = cli.build_parser().parse_args(["gen-data", "--out", "x", "--seed", str(seed)])
+        assert args.seed == seed
 
 
 class TestPretrain:
@@ -600,6 +632,33 @@ class TestEval:
         assert rc == 3
         assert "not a results CSV" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("col,cell", [
+        (2, "abc"), (2, "1.5"), (3, "abc"), (3, "nan"), (3, "inf"), (3, "1.5"), (3, "-0.1"),
+        (4, "abc"), (4, "nan"), (4, "inf"), (4, "-1"), (None, None),
+    ], ids=["class-abc", "class-fraction", "dice-abc", "dice-nan", "dice-inf", "dice-above-1",
+            "dice-negative", "assd-abc", "assd-nan", "assd-inf", "assd-negative", "not-utf8"])
+    def test_malformed_baseline_exits_3_before_evaluating(self, ws, results, tmp_path, capsys,
+                                                          col, cell):
+        with open(results, newline="") as f:
+            rows = list(csv.reader(f))
+        if col is not None:
+            rows[1][col] = cell
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        data = text.getvalue().encode()
+        if col is None:  # a byte that starts no UTF-8 sequence, in the first row's method
+            data = data.replace(b"single", b"sin\xffgle", 1)
+        baseline = tmp_path / "bad.csv"
+        baseline.write_bytes(data)
+        out = tmp_path / "o" / "r.csv"
+        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
+                       "--data", str(ws.data / "target_test.upld"),
+                       "--out", str(out), "--mode", "single", "--seed", "9",
+                       "--baseline", str(baseline)])
+        assert rc == 3
+        assert "bad.csv" in capsys.readouterr().err
+        assert not out.parent.exists()  # no results, summary or manifest
+
     def test_missing_baseline_exits_3_before_evaluating(self, ws, tmp_path, capsys):
         out = tmp_path / "r.csv"
         rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
@@ -667,6 +726,7 @@ class TestLoaderErrors:
         pytest.param({"num_heads": 50}, id="heads-50"),
         pytest.param({"base_channels": 0}, id="base-channels-0"),
         pytest.param({"in_channels": 0}, id="in-channels-0"),
+        pytest.param({"leak": -0.5}, id="leak-negative"),
     ])
     def test_bad_checkpoint_header_exits_3(self, ws, tmp_path, capsys, header):
         if isinstance(header, dict):

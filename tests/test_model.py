@@ -55,6 +55,10 @@ class TestArchConfig:
             ArchConfig(kernel=4)
         with pytest.raises(ValueError):
             ArchConfig(dropout_rate=1.0)
+        # BatchNorm's backward reads the activation's branch off its output's sign
+        for leak in (-0.01, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                ArchConfig(leak=leak)
 
     def test_channel_progression(self):
         a = ArchConfig()
@@ -94,10 +98,11 @@ class TestForward:
         b = m.forward_head(x, 0, train=False).data
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("grown,nodes", [(False, 44), (True, 45)])
+    @pytest.mark.parametrize("grown,nodes", [(False, 30), (True, 31)])
     def test_taped_forward_records_one_node_per_primitive(self, grown, nodes):
-        # 13 conv2d, 12 BatchNorm, 12 leaky_relu, 2 maxpool, 2 upsample,
-        # 2 concat and the softmax; a grown head adds its dropout gate
+        # 13 conv2d (two also take a skip), 12 BatchNorm with its leaky ReLU,
+        # 2 maxpool, 2 upsample and the softmax; a grown head adds its
+        # dropout gate
         m = make_model().grow(2) if grown else make_model()
         x = np.random.default_rng(11).standard_normal((1, 1, 16, 16)).astype(np.float32)
         with ad.Tape() as tape:

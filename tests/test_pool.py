@@ -103,6 +103,32 @@ def test_slice_blocks_match_one_gemm_over_the_batch(pool, B, Cin, Cout, H, k):
     assert tasks if B > 1 else not tasks  # the blocks did go to the pool
 
 
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("B,Cin,Cout,H,k", [s for s in CONV_SHAPES if s[1] > 1])
+def test_skip_matches_the_concatenated_input(pool, width, B, Cin, Cout, H, k):
+    """conv2d(x, w, b, skip=s) against conv2d of the concatenation of x and
+    s: the output and every gradient, bit for bit."""
+    pool(width)
+    rng = np.random.default_rng(B * 1000 + Cin * 10 + k)
+    cat = rng.standard_normal((B, Cin, H, H)).astype(np.float32)
+    wd = rng.standard_normal((Cout, Cin, k, k)).astype(np.float32)
+    bd = rng.standard_normal(Cout).astype(np.float32)
+    g = rng.standard_normal((B, Cout, H, H)).astype(np.float32)
+    c = Cin // 2
+
+    x, s, w, b = (ad.Tensor(a, requires_grad=True) for a in (cat[:, :c], cat[:, c:], wd, bd))
+    xc, wc, bc = (ad.Tensor(a, requires_grad=True) for a in (cat, wd, bd))
+    with ad.Tape() as tape:
+        y = ad.conv2d(x, w, b, skip=s)
+        tape.backward(ad.tsum(ad.mul(y, g)))
+    with ad.Tape() as tape:
+        y_ref = ad.conv2d(xc, wc, bc)
+        tape.backward(ad.tsum(ad.mul(y_ref, g)))
+    for ours, ref in ((y.data, y_ref.data), (x.grad, xc.grad[:, :c]), (s.grad, xc.grad[:, c:]),
+                      (w.grad, wc.grad), (b.grad, bc.grad)):
+        assert same_bytes(ours, ref)
+
+
 def test_a_segment_may_not_read_a_tensor_made_outside_it():
     x = ad.Tensor(np.ones((2, 2), np.float32), requires_grad=True)
     with ad.Tape():
@@ -120,15 +146,16 @@ def test_a_segment_may_not_read_a_tensor_made_outside_it():
         ad.add(own, shared)  # outside segments anything goes
 
 
-def _segmented_loss(x, w, segment: bool):
-    """Loss over three heads that share leaves ``x`` and ``w``, each head
-    using ``w`` twice, with steps outside segments before and after them."""
+def _segmented_loss(x, w, bn, segment: bool):
+    """Loss over three heads that share leaves ``x``, ``w`` and ``bn``'s
+    affine, each head using ``w`` twice, with steps outside segments before
+    and after them."""
     pre = ad.mul(w, 0.5)
     heads = []
     for k in range(3):
         with ad.Segment() if segment else nullcontext():
             h = ad.conv2d(ad.mul(x, float(k + 1)), w)
-            heads.append(ad.tsum(ad.mul(ad.conv2d(ad.leaky_relu(h), w), h)))
+            heads.append(ad.tsum(ad.mul(ad.conv2d(bn.forward(h, train=True), w), h)))
     return ad.add(ad.tsum(ad.mul(pre, w)), ad.add(heads[0], ad.add(heads[1], heads[2])))
 
 
@@ -136,9 +163,10 @@ def segment_grads(segment: bool):
     rng = np.random.default_rng(5)
     x = ad.Tensor(rng.standard_normal((4, 3, 8, 8)).astype(np.float32), requires_grad=True)
     w = ad.Tensor(rng.standard_normal((3, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    bn = ad.BatchNorm2d(3, leak=0.01)
     with ad.Tape() as tape:
-        tape.backward(_segmented_loss(x, w, segment))
-    return x.grad, w.grad
+        tape.backward(_segmented_loss(x, w, bn, segment))
+    return x.grad, w.grad, bn.gamma.grad, bn.beta.grad
 
 
 @pytest.mark.parametrize("width", [1, 2])
