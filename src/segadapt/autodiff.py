@@ -24,6 +24,8 @@ is split only where the split cannot change a bit:
 - no GEMM's reduction dimension is split: a slice block of conv2d's output
   rows, or of its input-gradient columns, is computed by the same kernel
   over the same reduction as in one GEMM over the batch;
+- conv2d's weight gradient goes by kernel offset only above ``_MIN_OFFSET_GEMM``,
+  where BLAS rounds each offset's GEMM as it does one GEMM over all offsets;
 - gradients of tensors that a head segment did not produce (the parameters
   it shares with other heads) are kept in that segment's sink, and the sinks
   are merged in the serial replay order, copying the first gradient and
@@ -70,11 +72,11 @@ _MIN_SHARE_FLOP = 15e6
 _MIN_SEGMENT_SIZE = 500_000
 # conv2d's column block aims at this size, so that it stays in a core's L2
 _BLOCK_BYTES = 1 << 20
-
-
-def _asarray(x) -> np.ndarray:
-    a = np.asarray(x, dtype=DTYPE)
-    return a
+# conv2d's dw goes one kernel offset at a time when each offset's GEMM has more
+# multiply-adds (Cout*Cin*B*H*W) than this. At or below it OpenBLAS (0.3.31,
+# AVX-512) takes its small-matrix kernel, whose rounding depends on the output
+# width: of 240 shapes swept, each mismatch with the one GEMM had <= 983,040.
+_MIN_OFFSET_GEMM = 100**3
 
 
 class Tensor:
@@ -83,7 +85,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_block")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _asarray(data)
+        self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._block = None  # (tape serial, block index) of the step that made it
@@ -477,9 +479,13 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
     and writes ``cols_blk.T @ w2d.T`` into the block's rows of the output.
     That [B*H*W, Cout] result is the output in channels-last memory (a
     transposed view). Backward recomputes the columns instead of keeping
-    them on the tape (peak memory stays that of the input). It takes
-    ``dw = g2d @ cols.T`` in one GEMM over the whole batch, with
-    g2d = [Cout, B*H*W], while the input gradient goes by slice blocks:
+    them on the tape (peak memory stays that of the input). The weight
+    gradient goes one kernel offset (i, j) at a time: plane (i, j) of the
+    columns, [Cin, B*H*W], is copied into a reused buffer, and
+    ``dw[:, :, i, j]`` is ``(plane @ g2d.T).T`` with g2d = [Cout, B*H*W],
+    so no 9x column matrix exists. At or below ``_MIN_OFFSET_GEMM``, or with
+    a dimension of 1, BLAS would round differently: dw is then
+    ``g2d @ cols.T`` in one GEMM. The input gradient goes by slice blocks:
     ``w2d.T @ g2d_blk``, folded back (col2im) by k*k slice-adds into a padded
     buffer in (i, j) order, then copied into channels-last memory, the layout
     the forward output has: numpy's reductions over it (BatchNorm, bias) sum
@@ -549,7 +555,14 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
         dx = np.empty((B, H, W, Cin), DTYPE) if any(t.requires_grad for t in inputs) else None
 
         def dw():
-            return (g2d @ im2col(padded(), np.empty((K, B * HW), DTYPE)).T).reshape(w.shape)
+            if min(Cout, Cin, k) == 1 or Cout * Cin * B * HW <= _MIN_OFFSET_GEMM:
+                return (g2d @ im2col(padded(), np.empty((K, B * HW), DTYPE)).T).reshape(w.shape)
+            xp, out = padded(), np.empty((k, k, Cin, Cout), DTYPE)
+            plane = _scratch("cols", (Cin, B, H, W))  # forward's buffer: free in backward
+            for i, j in np.ndindex(k, k):
+                np.copyto(plane, xp[:, :, i : i + H, j : j + W].transpose(1, 0, 2, 3))
+                np.matmul(plane.reshape(Cin, B * HW), g2d.T, out=out[i, j])
+            return np.ascontiguousarray(out.transpose(3, 2, 0, 1))
 
         def dx_block(blk):
             b0, b1 = blk

@@ -17,6 +17,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +53,14 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: Config, seed: int,
+def _write_manifest(out_dir: Path, command: str, cfg: Config, args,
                     inputs: dict, outputs: list, t0: float):
+    if args.config:
+        inputs = dict(inputs, config=args.config)
     manifest = {
         "command": command,
         "config": snapshot(cfg),
-        "seed": int(seed),
+        "seed": int(args.seed),
         "inputs": {str(k): _sha256(v) for k, v in inputs.items()},
         "outputs": sorted(str(o) for o in outputs),
         "timing_s": time.monotonic() - t0,
@@ -96,8 +99,7 @@ def cmd_gen_data(args) -> int:
             path = out / f"{domain}_{split}.upld"
             save_dataset(path, domains[domain][split])
             outputs.append(path)
-    inputs = {"config": args.config} if args.config else {}
-    _write_manifest(out, "gen-data", cfg, args.seed, inputs, outputs, t0)
+    _write_manifest(out, "gen-data", cfg, args, {}, outputs, t0)
     print(f"wrote {len(outputs)} dataset files to {out}")
     return 0
 
@@ -151,6 +153,12 @@ def _build(method: str, checkpoint, data, cfg: Config, seed: int,
     return est, train, val, fit_set, inputs
 
 
+def _progress(stage: str, rec, epochs: int):
+    loss = "-" if rec.loss is None else f"{rec.loss:.4f}"
+    print(f"{stage} epoch {rec.epoch + 1}/{epochs}: loss {loss}, val dice "
+          f"{rec.val_dice_mean:.4f}, {rec.wall_time_s:.2f} s", file=sys.stderr)
+
+
 def _fit_summary(est) -> str:
     if est.best_epoch_ < 0:
         return "no epochs run"
@@ -162,15 +170,14 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     trainer, train, val, _, inputs = _build("pretrain", None, args.data, cfg, args.seed)
     out = _out_dir(args)
+    trainer.on_epoch = partial(_progress, "pretrain")
     trainer.fit(train, val)
     ckpt = out / "checkpoint.uplc"
     save_checkpoint(ckpt, trainer.model_, epoch=trainer.best_epoch_,
                     seeds={"root": args.seed})
     logp = out / "trainlog.jsonl"
     trainer.log_.write(logp)
-    if args.config:
-        inputs["config"] = args.config
-    _write_manifest(out, "pretrain", cfg, args.seed, inputs, [ckpt, logp], t0)
+    _write_manifest(out, "pretrain", cfg, args, inputs, [ckpt, logp], t0)
     print(_fit_summary(trainer))
     return 0
 
@@ -194,6 +201,7 @@ def cmd_adapt(args) -> int:
     if args.dump_maps:  # a file in the way fails here, before any training
         Path(args.dump_maps).mkdir(parents=True, exist_ok=True)
     out = _out_dir(args)  # only once every check has passed
+    est.on_epoch = partial(_progress, f"adapt {args.method}")
     est.fit(fit_set, val)
     ckpt = out / "adapted.uplc"
     save_checkpoint(ckpt, est.model_, epoch=est.best_epoch_, seeds={"root": args.seed})
@@ -202,9 +210,7 @@ def cmd_adapt(args) -> int:
     outputs = [ckpt, logp]
     if args.dump_maps:
         outputs += _dump_maps(Path(args.dump_maps), est, train, cfg)
-    if args.config:
-        inputs["config"] = args.config
-    _write_manifest(out, f"adapt:{args.method}", cfg, args.seed, inputs, outputs, t0)
+    _write_manifest(out, f"adapt:{args.method}", cfg, args, inputs, outputs, t0)
     print(f"method {args.method}: {_fit_summary(est)}")
     return 0
 
@@ -338,9 +344,7 @@ def cmd_eval(args) -> int:
     inputs = {"checkpoint": args.checkpoint, "data": args.data}
     if args.baseline:
         inputs["baseline"] = args.baseline
-    if args.config:
-        inputs["config"] = args.config
-    _write_manifest(out_csv.parent, "eval", cfg, args.seed, inputs,
+    _write_manifest(out_csv.parent, "eval", cfg, args, inputs,
                     [out_csv, summary_csv], t0)
     mean_dice = float(np.mean([r.dice for r in results]))
     print(f"evaluated {ds.n_cases} cases: mean foreground dice {mean_dice:.4f}")
@@ -389,6 +393,7 @@ def cmd_ablate(args) -> int:
     out = _out_dir(args)
     rows = []
     for combo, est in zip(combos, ests):
+        est.on_epoch = partial(_progress, f"ablate {combo}")
         est.fit(fit_set, val)
         ran = est.best_epoch_ >= 0  # a point that ran no epoch has no measurement
         rows.append({**combo, "val_dice": est.best_val_dice_ if ran else "",
@@ -401,9 +406,7 @@ def cmd_ablate(args) -> int:
         w.writerow(keys)
         for row in rows:
             w.writerow([row.get(k, "") for k in keys])
-    if args.config:
-        inputs["config"] = args.config
-    _write_manifest(out, "ablate", cfg, args.seed, inputs, [sweep_csv], t0)
+    _write_manifest(out, "ablate", cfg, args, inputs, [sweep_csv], t0)
     return 0
 
 

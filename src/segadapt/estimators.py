@@ -163,6 +163,8 @@ class SegmentationEstimator:
     INI section), plus the epoch loop shared by every procedure that takes
     optimizer steps."""
 
+    on_epoch = None  # called with each epoch's EpochRecord and cfg.epochs, if set
+
     def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int):
         self.model, self.cfg, self.seed = model, cfg, seed
 
@@ -200,6 +202,8 @@ class SegmentationEstimator:
             log.append(EpochRecord(epoch, means["loss"], means["loss_entropy"], per_class,
                                    val_mean, means["reliable_fraction"], opt.lr,
                                    time.monotonic() - t0))
+            if self.on_epoch is not None:
+                self.on_epoch(log.records[-1], self.cfg.epochs)
         # zero epochs hand back the input state
         self.model_ = best_model if best_model is not None else work.clone()
         self.best_epoch_, self.best_val_dice_ = best_epoch, best_val

@@ -307,6 +307,65 @@ class TestPretrain:
         assert a == b
 
 
+class TestProgress:
+    """pretrain, adapt and ablate print one stderr line per epoch; stdout and
+    trainlog.jsonl are what they are without it."""
+
+    @staticmethod
+    def assert_lines(err: str, stage: str, records: list, epochs: int):
+        lines = err.splitlines()
+        assert len(lines) == len(records)
+        for line, rec in zip(lines, records):
+            loss = "-" if rec["loss"] is None else f"{rec['loss']:.4f}"
+            head = (f"{stage} epoch {rec['epoch'] + 1}/{epochs}: loss {loss}, "
+                    f"val dice {rec['val_dice_mean']:.4f}, ")
+            assert line.startswith(head) and line.endswith(" s"), line
+            float(line[len(head):-2])  # that epoch's wall time
+
+    def test_pretrain_and_adapt_print_a_line_per_epoch(self, ws, tmp_path, capsys):
+        cfg = parse_config(ws.cfg)
+        train, val = (load_dataset(ws.data / f"source_{s}.upld") for s in ("train", "val"))
+        silent = SourceTrainer(cfg.pretrain, train.num_classes, 5).fit(train, val)
+        rc = cli.main(["pretrain", "--data", str(ws.data), "--out", str(tmp_path / "pre"),
+                       "--config", str(ws.cfg), "--seed", "5"])
+        assert rc == 0
+        cap = capsys.readouterr()
+        assert cap.out == f"best val dice {silent.best_val_dice_:.4f} at epoch " \
+                          f"{silent.best_epoch_}\n"
+        log = (tmp_path / "pre" / "trainlog.jsonl").read_text()
+        assert log == silent.log_.to_jsonl()
+        self.assert_lines(cap.err, "pretrain", read_jsonl(tmp_path / "pre" / "trainlog.jsonl"), 2)
+
+        model, _ = load_checkpoint(ws.ckpt)
+        train, val = (load_dataset(ws.data / f"target_{s}.upld") for s in ("train", "val"))
+        for method, adapter in (("upl", MultiHeadAdapter), ("tent", TentAdapter),
+                                ("ptbn", PtbnAdapter)):
+            silent = adapter(model, cfg.adapt, 6).fit(train.drop_labels(), val)
+            out = tmp_path / method
+            rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out), "--config",
+                           str(ws.cfg), "--method", method, "--seed", "6",
+                           "--checkpoint", str(ws.ckpt)])
+            assert rc == 0
+            cap = capsys.readouterr()
+            assert cap.out.startswith(f"method {method}: best val dice ")
+            assert (out / "trainlog.jsonl").read_text() == silent.log_.to_jsonl()
+            # ptbn runs no epoch loop: one forward pass, then validation
+            records = [] if method == "ptbn" else read_jsonl(out / "trainlog.jsonl")
+            self.assert_lines(cap.err, f"adapt {method}", records, 1)
+
+    def test_ablate_prints_a_line_per_epoch_of_every_point(self, ws, tmp_path, capsys):
+        rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
+                       "--out", str(tmp_path / "o"), "--config", str(ws.cfg), "--seed", "6",
+                       "--grid", "heads=1,2"])
+        assert rc == 0
+        cap = capsys.readouterr()
+        lines = cap.err.splitlines()
+        assert [line.split(": loss ")[0] for line in lines] == [
+            "ablate {'heads': 1} epoch 1/1", "ablate {'heads': 2} epoch 1/1"]
+        assert [line.split(" -> ")[0] for line in cap.out.splitlines()] == [
+            "{'heads': 1}", "{'heads': 2}"]
+
+
 METHODS = ["upl", "tent", "ptbn", "selftrain", "finetune-train", "finetune-valid",
            "target-only"]
 

@@ -8,6 +8,7 @@ import inspect
 import pkgutil
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 
@@ -127,6 +128,60 @@ def test_skip_matches_the_concatenated_input(pool, width, B, Cin, Cout, H, k):
     for ours, ref in ((y.data, y_ref.data), (x.grad, xc.grad[:, :c]), (s.grad, xc.grad[:, c:]),
                       (w.grad, wc.grad), (b.grad, bc.grad)):
         assert same_bytes(ours, ref)
+
+
+# (B, Cin, Cout, H, k, skip channels) whose weight gradient goes one kernel
+# offset at a time: the pipeline's 64x64 16->8 and 8->8 and 32x32 32->16
+# layers, the 64x64 decoder conv with an 8-channel skip, and the smallest
+# offset GEMM above the cutoff (8*8*4*64*64 = 1,048,576 multiply-adds); and
+# one at 8*8*15*32*32 = 983,040, below it, whose offset GEMMs round otherwise
+OFFSET_SHAPES = [(10, 16, 8, 64, 3, 0), (10, 8, 8, 64, 3, 0), (10, 32, 16, 32, 3, 0),
+                 (10, 8, 8, 64, 3, 8), (4, 8, 8, 64, 3, 0), (15, 8, 8, 32, 3, 0)]
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("B,Cin,Cout,H,k,Cs", OFFSET_SHAPES)
+def test_offset_weight_gradient_matches_one_gemm(pool, width, B, Cin, Cout, H, k, Cs):
+    """dw by kernel offset, or by one GEMM at or below the cutoff, against
+    ``unsplit_conv``'s one GEMM over the batch, bit for bit, with dx."""
+    pool(width)
+    offsets = Cout * (Cin + Cs) * B * H * H > ad._MIN_OFFSET_GEMM
+    assert offsets == ((B, H) != (15, 32))  # the shapes sit where the comment says
+    rng = np.random.default_rng(B * 1000 + Cin * 10 + Cs)
+    cat = rng.standard_normal((B, Cin + Cs, H, H)).astype(np.float32)
+    wd = rng.standard_normal((Cout, Cin + Cs, k, k)).astype(np.float32)
+    bd = rng.standard_normal(Cout).astype(np.float32)
+    g = rng.standard_normal((B, Cout, H, H)).astype(np.float32)
+    x, s, w, b = (ad.Tensor(a, requires_grad=True) for a in (cat[:, :Cin], cat[:, Cin:], wd, bd))
+    with ad.Tape() as tape:
+        y = ad.conv2d(x, w, b, skip=s if Cs else None)
+        tape.backward(ad.tsum(ad.mul(y, g)))
+    y_ref, dw_ref, dx_ref = unsplit_conv(cat, wd, bd, g)
+    assert same_bytes(y.data, y_ref)
+    assert same_bytes(w.grad, dw_ref)
+    assert same_bytes(x.grad, dx_ref[:, :Cin])
+    if Cs:
+        assert same_bytes(s.grad, dx_ref[:, Cin:])
+
+
+def test_weight_gradient_builds_no_column_matrix(monkeypatch):
+    """Backward of a taped 16->8 3x3 conv on [10,16,64,64] whose input needs
+    no gradient (an encoder's first conv) allocates under 4x its input: the
+    column matrix of the whole batch alone would be 9x."""
+    rng = np.random.default_rng(3)
+    x = ad.Tensor(rng.standard_normal((10, 16, 64, 64)).astype(np.float32))
+    w = ad.Tensor(rng.standard_normal((8, 16, 3, 3)).astype(np.float32), requires_grad=True)
+    monkeypatch.delattr(ad._local, "cols", raising=False)  # count the plane buffer too
+    with ad.Tape() as tape:
+        loss = ad.tsum(ad.conv2d(x, w))
+        tracemalloc.start()
+        try:
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert w.grad.shape == (8, 16, 3, 3)
+    assert peak < 4 * x.data.nbytes, peak / x.data.nbytes
 
 
 def test_a_segment_may_not_read_a_tensor_made_outside_it():
