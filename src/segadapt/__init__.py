@@ -15,7 +15,7 @@ from .model import ArchConfig, SegModel
 from .optim import Adam
 from .pseudolabel import (PseudoLabelBundle, cleanup_label_map, ensemble_mean,
                           label_components, make_pseudo_label, one_hot, reliability_map)
-from .rng import SeedBundle, named_stream
+from .rng import named_stream
 from .synthdata import BENCHMARKS, DomainSpec, generate_benchmark, generate_domain
 from .transforms import (FAMILY, IDENTITY, SpatialTransform, apply_inverse,
                          apply_transform, inverse, sample_transform)

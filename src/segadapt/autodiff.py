@@ -57,7 +57,7 @@ def _pool_width() -> int:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         threads = os.environ.get(var, "")
-        if threads.isdigit() and int(threads) > 0:
+        if threads.isascii() and threads.isdigit() and int(threads) > 0:
             return max(1, min(2, (cpus or 1) // int(threads)))
     return 1
 
@@ -68,8 +68,6 @@ _local = threading.local()  # per thread: ``busy`` flag and scratch buffers
 # a thread's share of a conv2d below this many FLOPs runs inline: dispatch
 # costs about as much as a share this size
 _MIN_SHARE_FLOP = 15e6
-# head segments replay inline when one made fewer tensor elements than this
-_MIN_SEGMENT_SIZE = 500_000
 # conv2d's column block aims at this size, so that it stays in a core's L2
 _BLOCK_BYTES = 1 << 20
 # conv2d's dw goes one kernel offset at a time when each offset's GEMM has more
@@ -206,7 +204,6 @@ class Tape:
     def __init__(self):
         self._serial = next(_TAPE_SERIAL)
         self._blocks = []  # lists of steps, in recording order
-        self._sizes = []  # per block: elements of the tensors its steps made
         self._heads = []  # indices of the blocks that are segments
         self._segment = None  # index of the open segment
         self._used = False
@@ -226,7 +223,7 @@ class Tape:
     def __len__(self):
         return sum(len(steps) for steps in self._blocks)
 
-    def _record(self, step, parents, size: int) -> tuple:
+    def _record(self, step, parents) -> tuple:
         """Append ``step`` to the current block; return the block's mark. A
         segment's step may not read a tensor made on this tape outside it."""
         if self._segment is not None:
@@ -237,10 +234,8 @@ class Tape:
         else:
             if not self._blocks or len(self._blocks) - 1 in self._heads:
                 self._blocks.append([])
-                self._sizes.append(0)
             i = len(self._blocks) - 1
         self._blocks[i].append(step)
-        self._sizes[i] += size
         return self._serial, i
 
     def backward(self, loss: Tensor):
@@ -267,8 +262,7 @@ class Tape:
         for i in reversed(range(len(self._blocks))):
             if i not in self._heads:
                 replay(i)
-        _each(replay, reversed(self._heads), len(self._heads) > 1
-              and min(self._sizes[i] for i in self._heads) >= _MIN_SEGMENT_SIZE)
+        _each(replay, reversed(self._heads), len(self._heads) > 1)
         for sink in reversed(sinks):
             for p, g in sink:
                 p.grad = g.astype(DTYPE, copy=True) if p.grad is None else p.grad + g
@@ -286,7 +280,6 @@ class Segment:
             tape._segment = len(tape._blocks)
             tape._heads.append(tape._segment)
             tape._blocks.append([])
-            tape._sizes.append(0)
         return self
 
     def __exit__(self, exc_type, exc, tb):
@@ -324,7 +317,7 @@ def _node(data, parents, grads) -> Tensor:
                 else:
                     p.grad = g.astype(DTYPE, copy=True) if p.grad is None else p.grad + g
 
-        out._block = tape._record(step, parents, out.data.size)
+        out._block = tape._record(step, parents)
     return out
 
 

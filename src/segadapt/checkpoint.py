@@ -32,6 +32,7 @@ import json
 import math
 import struct
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -57,15 +58,7 @@ def _collect_arrays(model: SegModel) -> dict[str, np.ndarray]:
 
 def save_checkpoint(path, model: SegModel, epoch: int = 0, seeds: dict | None = None) -> None:
     header = {
-        "arch": {
-            "in_channels": model.arch.in_channels,
-            "num_classes": model.arch.num_classes,
-            "levels": model.arch.levels,
-            "base_channels": model.arch.base_channels,
-            "kernel": model.arch.kernel,
-            "leak": model.arch.leak,
-            "dropout_rate": model.arch.dropout_rate,
-        },
+        "arch": asdict(model.arch),
         "bn_eps": 1e-5,
         "bn_momentum": 0.1,
         "num_heads": model.num_heads,

@@ -16,15 +16,14 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import (Config, ConfigError, check_bounds, check_tau, default_config, parse_config,
-                     snapshot)
+from .config import Config, ConfigError, check_bounds, check_tau, default_config, parse_config
 from .data import DatasetError, LabeledSet, load_dataset, save_dataset
 from .estimators import (ABLATIONS, FineTuner, MultiHeadAdapter, NumericFailure,
                          PtbnAdapter, SelfTrainAdapter, SourceTrainer, TentAdapter,
@@ -34,7 +33,7 @@ from .metrics import (CaseResult, DegenerateStatsError, aggregate, assd,
                       dice_coefficient, paired_t_test)
 from .model import ArchConfig
 from .pseudolabel import export_label_pgm, export_reliability_pgm
-from .rng import SeedBundle
+from .rng import named_stream
 from .synthdata import generate_benchmark
 
 SPLITS = ("train", "val", "test")
@@ -53,28 +52,6 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, cfg: Config, args,
-                    inputs: dict, outputs: list, t0: float):
-    if args.config:
-        inputs = dict(inputs, config=args.config)
-    manifest = {
-        "command": command,
-        "config": snapshot(cfg),
-        "seed": int(args.seed),
-        "inputs": {str(k): _sha256(v) for k, v in inputs.items()},
-        "outputs": sorted(str(o) for o in outputs),
-        "timing_s": time.monotonic() - t0,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def _load_config(args) -> Config:
-    if getattr(args, "config", None):
-        return parse_config(args.config)
-    return default_config()
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -84,9 +61,7 @@ def _out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
+def cmd_gen_data(args, cfg: Config):
     if args.benchmark:
         cfg.data.benchmark = args.benchmark  # manifest snapshots the effective name
         check_bounds(cfg.data, "data")
@@ -99,9 +74,8 @@ def cmd_gen_data(args) -> int:
             path = out / f"{domain}_{split}.upld"
             save_dataset(path, domains[domain][split])
             outputs.append(path)
-    _write_manifest(out, "gen-data", cfg, args, {}, outputs, t0)
     print(f"wrote {len(outputs)} dataset files to {out}")
-    return 0
+    return out, "gen-data", {}, outputs
 
 
 def _dataset(path, arch: ArchConfig, labels: bool = False) -> LabeledSet:
@@ -165,54 +139,45 @@ def _fit_summary(est) -> str:
     return f"best val dice {est.best_val_dice_:.4f} at epoch {est.best_epoch_}"
 
 
-def cmd_pretrain(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
-    trainer, train, val, _, inputs = _build("pretrain", None, args.data, cfg, args.seed)
+def _fit_and_save(args, est, fit_set, val, ckpt_name: str, stage: str):
+    """Fit ``est`` with progress lines labelled ``stage``, then write its model
+    as ``ckpt_name`` and its log as trainlog.jsonl in --out, which is made
+    here, once every check has passed. Returns (out, [checkpoint, log])."""
     out = _out_dir(args)
-    trainer.on_epoch = partial(_progress, "pretrain")
-    trainer.fit(train, val)
-    ckpt = out / "checkpoint.uplc"
-    save_checkpoint(ckpt, trainer.model_, epoch=trainer.best_epoch_,
-                    seeds={"root": args.seed})
-    logp = out / "trainlog.jsonl"
-    trainer.log_.write(logp)
-    _write_manifest(out, "pretrain", cfg, args, inputs, [ckpt, logp], t0)
+    est.on_epoch = partial(_progress, stage)
+    est.fit(fit_set, val)
+    ckpt, logp = out / ckpt_name, out / "trainlog.jsonl"
+    save_checkpoint(ckpt, est.model_, epoch=est.best_epoch_, seeds={"root": args.seed})
+    est.log_.write(logp)
+    return out, [ckpt, logp]
+
+
+def cmd_pretrain(args, cfg: Config):
+    trainer, _, val, train, inputs = _build("pretrain", None, args.data, cfg, args.seed)
+    out, outputs = _fit_and_save(args, trainer, train, val, "checkpoint.uplc", "pretrain")
     print(_fit_summary(trainer))
-    return 0
+    return out, "pretrain", inputs, outputs
 
 
-def cmd_adapt(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
+def cmd_adapt(args, cfg: Config):
     ablate = frozenset()
     if args.ablate:
         if args.method != "upl":
-            print(f"--ablate only applies to --method upl, got {args.method}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"--ablate only applies to --method upl, got {args.method}")
         try:
             ablate = check_ablate(token.strip() for token in args.ablate.split(","))
         except ValueError as e:
-            print(f"--ablate: {e}", file=sys.stderr)
-            return 2
-
+            raise ConfigError(f"--ablate: {e}") from None
     est, train, val, fit_set, inputs = _build(args.method, args.checkpoint, args.data, cfg,
                                               args.seed, ablate)
-    if args.dump_maps:  # a file in the way fails here, before any training
+    if args.dump_maps:  # a file in the way fails here, before --out exists
         Path(args.dump_maps).mkdir(parents=True, exist_ok=True)
-    out = _out_dir(args)  # only once every check has passed
-    est.on_epoch = partial(_progress, f"adapt {args.method}")
-    est.fit(fit_set, val)
-    ckpt = out / "adapted.uplc"
-    save_checkpoint(ckpt, est.model_, epoch=est.best_epoch_, seeds={"root": args.seed})
-    logp = out / "trainlog.jsonl"
-    est.log_.write(logp)
-    outputs = [ckpt, logp]
+    out, outputs = _fit_and_save(args, est, fit_set, val, "adapted.uplc",
+                                 f"adapt {args.method}")
     if args.dump_maps:
         outputs += _dump_maps(Path(args.dump_maps), est, train, cfg)
-    _write_manifest(out, f"adapt:{args.method}", cfg, args, inputs, outputs, t0)
     print(f"method {args.method}: {_fit_summary(est)}")
-    return 0
+    return out, f"adapt:{args.method}", inputs, outputs
 
 
 def _dump_maps(dump_dir: Path, est, train: LabeledSet, cfg: Config) -> list:
@@ -221,7 +186,7 @@ def _dump_maps(dump_dir: Path, est, train: LabeledSet, cfg: Config) -> list:
     model = est.model_
     imgs = train.images[train.case_slices(0)]
     if model.num_heads > 1:
-        rng = SeedBundle(est.seed).stream("dump")
+        rng = named_stream(est.seed, "dump")
         labels, probs = infer_ensemble(model, imgs, rng, cleanup=cfg.adapt.cleanup)
     else:
         labels, probs = infer_single(model, imgs, cleanup=cfg.adapt.cleanup)
@@ -240,7 +205,7 @@ def _eval_results(model, ds: LabeledSet, mode: str, cfg: Config, seed: int,
                   method_name: str) -> list:
     if mode == "ensemble" and model.num_heads == 1:
         model = model.grow(cfg.adapt.heads)  # transform ensemble of one head
-    rng = SeedBundle(seed).stream("eval")
+    rng = named_stream(seed, "eval")
     results = []
     for cid, imgs, labs in ds.cases():
         if mode == "ensemble":
@@ -316,9 +281,7 @@ def _write_summary_csv(path, results: list, baseline: list | None):
             w.writerow(row)
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
+def cmd_eval(args, cfg: Config):
     model, _ = load_checkpoint(args.checkpoint)
     ds = _dataset(args.data, model.arch, labels=True)
     # read the baseline before evaluating, so a bad one leaves no results behind
@@ -344,11 +307,9 @@ def cmd_eval(args) -> int:
     inputs = {"checkpoint": args.checkpoint, "data": args.data}
     if args.baseline:
         inputs["baseline"] = args.baseline
-    _write_manifest(out_csv.parent, "eval", cfg, args, inputs,
-                    [out_csv, summary_csv], t0)
     mean_dice = float(np.mean([r.dice for r in results]))
     print(f"evaluated {ds.n_cases} cases: mean foreground dice {mean_dice:.4f}")
-    return 0
+    return out_csv.parent, "eval", inputs, [out_csv, summary_csv]
 
 
 def _parse_grid(tokens: list) -> list:
@@ -377,9 +338,7 @@ def _parse_grid(tokens: list) -> list:
     return combos
 
 
-def cmd_ablate(args) -> int:
-    t0 = time.monotonic()
-    cfg = _load_config(args)
+def cmd_ablate(args, cfg: Config):
     combos = _parse_grid(args.grid)
     grid = [replace(cfg, adapt=replace(cfg.adapt, **combo)) for combo in combos]
     for point in grid:
@@ -406,8 +365,7 @@ def cmd_ablate(args) -> int:
         w.writerow(keys)
         for row in rows:
             w.writerow([row.get(k, "") for k in keys])
-    _write_manifest(out, "ablate", cfg, args, inputs, [sweep_csv], t0)
-    return 0
+    return out, "ablate", inputs, [sweep_csv]
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +426,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code. The command takes the args and
+    the config, and returns ``(out_dir, command, inputs, outputs)``: where the
+    manifest goes, its command name, the input files by name and the outputs."""
     args = build_parser().parse_args(argv)
     if args.command == "adapt" and args.method != "target-only" and not args.checkpoint:
         print("adapt needs --checkpoint for this method", file=sys.stderr)
         return 2
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        cfg = parse_config(args.config) if args.config else default_config()
+        out, command, inputs, outputs = args.func(args, cfg)
+        if args.config:
+            inputs = dict(inputs, config=args.config)
+        manifest = {
+            "command": command,
+            "config": asdict(cfg),
+            "seed": args.seed,
+            "inputs": {str(k): _sha256(v) for k, v in inputs.items()},
+            "outputs": sorted(str(o) for o in outputs),
+            "timing_s": time.monotonic() - t0,
+        }
+        (out / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except DegenerateStatsError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 3
-    except (DatasetError, CheckpointError, OSError) as e:
+    except (DatasetError, CheckpointError, DegenerateStatsError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericFailure as e:

@@ -109,7 +109,7 @@ def parse_config(path) -> Config:
     return cfg
 
 
-_BATCH_BOUND = (lambda v: v == "volume" or (v.isdigit() and int(v) >= 1),
+_BATCH_BOUND = (lambda v: v == "volume" or (v.isascii() and v.isdigit() and int(v) >= 1),
                 "'volume' or an integer >= 1")
 _SIZE_STEP = 2 ** ArchConfig().levels  # each encoder level halves the image
 # at both caps the float32 slices of the two domains take about 1.6 GB
@@ -160,12 +160,3 @@ def check_tau(tau: float, num_classes: int, where: str = "[adapt]"):
         raise ConfigError(
             f"{where} tau: must exceed 1/num_classes = 1/{num_classes} for this "
             f"checkpoint, got {tau}")
-
-
-def snapshot(cfg: Config) -> dict:
-    """Plain dict form for manifests."""
-    return {
-        section: {f.name: getattr(getattr(cfg, section), f.name)
-                  for f in fields(getattr(cfg, section))}
-        for section in _SECTIONS
-    }

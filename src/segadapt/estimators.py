@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .metrics import dice_coefficient
 from .model import ArchConfig, SegModel
 from .optim import Adam
 from .pseudolabel import make_pseudo_label, one_hot
-from .rng import SeedBundle
+from .rng import named_stream
 
 # UPL-SFDA's ingredients, by the paper's names: reliability mask M, Target
 # Domain Growing TDG (per-head dropout), transforms T, Twice Forward pass
@@ -83,15 +83,7 @@ class EpochRecord:
 
     def public_fields(self) -> dict:
         # wall time stays out of exported logs so reruns are byte-identical
-        return {
-            "epoch": self.epoch,
-            "loss": self.loss,
-            "loss_entropy": self.loss_entropy,
-            "val_dice": self.val_dice,
-            "val_dice_mean": self.val_dice_mean,
-            "reliable_fraction": self.reliable_fraction,
-            "lr": self.lr,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "wall_time_s"}
 
 
 class TrainLog:
@@ -180,7 +172,7 @@ class SegmentationEstimator:
         """
         if predict_fn is None:
             predict_fn = lambda imgs: infer_single(work, imgs)[0]
-        order_rng = SeedBundle(self.seed).stream("order")
+        order_rng = named_stream(self.seed, "order")
         log = TrainLog()
         best_model, best_val, best_epoch = None, -1.0, -1
         step = 0
@@ -238,7 +230,7 @@ class SourceTrainer(SegmentationEstimator):
 
     def fit(self, train: LabeledSet, val: LabeledSet):
         model = SegModel(ArchConfig(num_classes=self.num_classes),
-                         SeedBundle(self.seed).stream("init"))
+                         named_stream(self.seed, "init"))
         c = self.cfg
         lr_fn = lambda e: c.lr * (c.lr_decay ** (e // c.decay_every))
         return self._supervised(model, train, val, lr_fn, "pretrain")
@@ -274,10 +266,9 @@ class MultiHeadAdapter(SegmentationEstimator):
         if "TDG" in ablate:
             work.head_dropout = False
         tau = None if "M" in ablate else cfg.tau
-        seeds = SeedBundle(self.seed)
-        t_rng = seeds.stream("transforms")
-        d_rng = seeds.stream("dropout")
-        eval_rng = seeds.stream("eval")
+        t_rng = named_stream(self.seed, "transforms")
+        d_rng = named_stream(self.seed, "dropout")
+        eval_rng = named_stream(self.seed, "eval")
 
         def heads_pass(x):
             """Every head under its own random transform, mapped back."""
@@ -297,21 +288,17 @@ class MultiHeadAdapter(SegmentationEstimator):
                 terms["reliable_fraction"] = bundle.reliable_fraction
             with Tape() as tape:
                 probs = heads_pass(x)
-                sup = ment = None
+                loss = None  # check_ablate keeps at least one term
                 if bundle is not None:
                     if bundle.step != step:  # two-pass pairing contract
                         raise RuntimeError("pseudo-label bundle is stale")
-                    sup = multi_head_dice_loss(probs, bundle)
-                    terms["loss"] = sup.item()
+                    loss = multi_head_dice_loss(probs, bundle)
+                    terms["loss"] = loss.item()
                 if "LMENT" not in ablate:
                     ment = mean_prediction_entropy(probs)
                     terms["loss_entropy"] = ment.item()
-                if ment is None:
-                    loss = sup
-                elif sup is None:
-                    loss = ment * cfg.entropy_weight
-                else:
-                    loss = combined_loss(sup, ment, cfg.entropy_weight)
+                    weighted = ment * cfg.entropy_weight
+                    loss = weighted if loss is None else loss + weighted
                 _check_finite(loss.item(), stage="adapt", epoch=epoch, step=step,
                               loss_sup=terms.get("loss"),
                               loss_entropy=terms.get("loss_entropy"))

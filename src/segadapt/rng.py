@@ -18,16 +18,3 @@ def named_stream(root_seed: int, name: str) -> np.random.Generator:
     tag = zlib.crc32(name.encode("utf-8"))
     ss = np.random.SeedSequence(entropy=int(root_seed), spawn_key=(tag,))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-class SeedBundle:
-    """Root seed plus lazily created named streams."""
-
-    def __init__(self, root_seed: int):
-        self.root_seed = int(root_seed)
-        self._streams = {}
-
-    def stream(self, name: str) -> np.random.Generator:
-        if name not in self._streams:
-            self._streams[name] = named_stream(self.root_seed, name)
-        return self._streams[name]

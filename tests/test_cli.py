@@ -11,6 +11,7 @@ import io
 import json
 import struct
 import zlib
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 from segadapt import cli
 from segadapt.checkpoint import load_checkpoint, read_entries, save_checkpoint
-from segadapt.config import parse_config
+from segadapt.config import default_config, parse_config
 from segadapt.data import LabeledSet, load_dataset, save_dataset
 from segadapt.estimators import (FineTuner, MultiHeadAdapter, PtbnAdapter, SelfTrainAdapter,
                                  SourceTrainer, TentAdapter)
@@ -167,6 +168,20 @@ class TestConfigErrors:
         assert cli.main(argv + ["--out", str(out), "--config", str(bad)]) == 2
         assert f"[{section}] {key}" in capsys.readouterr().err
         assert not out.exists()  # rejected before anything is written
+
+    @pytest.mark.parametrize("section", ["pretrain", "adapt"])
+    def test_non_ascii_digit_batch_exits_2_naming_key(self, ws, tmp_path, capsys, section):
+        # "²".isdigit() holds, but int("²") raises
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"[{section}]\nbatch = \u00b2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        if section == "pretrain":
+            argv = ["pretrain", "--data", str(ws.data)]
+        else:
+            argv = ["adapt", "--data", str(ws.data), "--checkpoint", str(ws.ckpt)]
+        assert cli.main(argv + ["--out", str(out), "--config", str(bad)]) == 2
+        assert f"[{section}] batch" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key,value", [
         ("tau", "1.5"), ("tau", "0"), ("tau", "nan"),
@@ -928,3 +943,72 @@ class TestAblate:
             rows = list(csv.DictReader(f))
         assert [(r["heads"], r["val_dice"], r["best_epoch"]) for r in rows] == [
             ("1", "", ""), ("2", "", "")]
+
+
+class TestManifests:
+    """Every command's manifest: its command name, the sha256 of each input by
+    name, its sorted outputs, the seed and the effective config."""
+
+    @staticmethod
+    def check(out, command, inputs, outputs, seed, cfg=None):
+        m = read_manifest(out)
+        assert set(m) == {"command", "config", "seed", "inputs", "outputs", "timing_s"}
+        assert m["command"] == command
+        if cfg is not None:
+            inputs = dict(inputs, config=cfg)
+        assert m["inputs"] == {k: sha(v) for k, v in inputs.items()}
+        assert m["outputs"] == sorted(str(o) for o in outputs)
+        assert m["seed"] == seed
+        expected = parse_config(cfg) if cfg is not None else default_config()
+        assert m["config"] == asdict(expected)
+
+    def test_gen_data(self, ws):
+        self.check(ws.data, "gen-data", {}, [ws.data / n for n in DATA_FILES], 5, ws.cfg)
+
+    def test_pretrain(self, ws):
+        inputs = {f"source_{s}": ws.data / f"source_{s}.upld" for s in ("train", "val")}
+        self.check(ws.pre, "pretrain", inputs,
+                   [ws.ckpt, ws.pre / "trainlog.jsonl"], 5, ws.cfg)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_adapt(self, ws, runs, method):
+        out = runs[method]
+        inputs = {f"target_{s}": ws.data / f"target_{s}.upld" for s in ("train", "val")}
+        if method != "target-only":
+            inputs["checkpoint"] = ws.ckpt
+        self.check(out, f"adapt:{method}", inputs,
+                   [out / "adapted.uplc", out / "trainlog.jsonl"], 6, ws.cfg)
+
+    def test_eval(self, ws, results):
+        inputs = {"checkpoint": ws.ckpt, "data": ws.data / "target_test.upld"}
+        self.check(results.parent, "eval", inputs,
+                   [results, results.with_name("results_summary.csv")], 9)
+
+    def test_eval_with_baseline(self, ws, results, tmp_path):
+        with open(results, newline="") as f:
+            rows = list(csv.reader(f))
+        for row in rows[1:]:  # a baseline a little worse on every case
+            row[3] = f"{max(0.0, float(row[3]) - 0.05):.6f}"
+        baseline = tmp_path / "baseline.csv"
+        with open(baseline, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        out = tmp_path / "ev" / "r.csv"
+        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
+                       "--data", str(ws.data / "target_test.upld"), "--out", str(out),
+                       "--mode", "single", "--seed", "9", "--baseline", str(baseline),
+                       "--config", str(ws.cfg)])
+        assert rc == 0
+        inputs = {"checkpoint": ws.ckpt, "data": ws.data / "target_test.upld",
+                  "baseline": baseline}
+        self.check(out.parent, "eval", inputs, [out, out.with_name("r_summary.csv")],
+                   9, ws.cfg)
+
+    def test_ablate(self, ws, tmp_path):
+        out = tmp_path / "o"
+        rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
+                       "--out", str(out), "--config", str(ws.cfg), "--seed", "6",
+                       "--grid", "heads=1"])
+        assert rc == 0
+        inputs = {f"target_{s}": ws.data / f"target_{s}.upld" for s in ("train", "val")}
+        inputs["checkpoint"] = ws.ckpt
+        self.check(out, "ablate", inputs, [out / "sweep.csv"], 6, ws.cfg)

@@ -24,7 +24,7 @@ from segadapt.estimators import (
 from segadapt.inference import head_probs, infer_ensemble, infer_single
 from segadapt.model import ArchConfig, SegModel
 from segadapt.pseudolabel import ensemble_mean, make_pseudo_label
-from segadapt.rng import SeedBundle
+from segadapt.rng import named_stream
 from segadapt.transforms import IDENTITY
 from _oracles import (
     cleanup_loop,
@@ -248,7 +248,7 @@ class TestSourceTrainer:
         other = square_set(9, n_cases=3, n_slices=2)
         a = SourceTrainer(PretrainConfig(epochs=0), 3, 11).fit(train, val).model_
         b = SourceTrainer(PretrainConfig(epochs=0), 3, 11).fit(other, val).model_
-        raw = SegModel(ArchConfig(), SeedBundle(11).stream("init"))
+        raw = SegModel(ArchConfig(), named_stream(11, "init"))
         for n, arr in params_of(a).items():
             assert np.array_equal(arr, params_of(b)[n])
             assert np.array_equal(arr, params_of(raw)[n])

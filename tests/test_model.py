@@ -1,6 +1,7 @@
 """Network construction, head duplication, parameter groups, Adam, and the
 binary checkpoint format."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -321,6 +322,14 @@ class TestCheckpoint:
         save_checkpoint(path, m, epoch=1, seeds={"root": 1})
         header, arrays = read_entries(path)
         assert path.read_bytes() == reserialize(header, arrays)
+
+    def test_fixed_seed_checkpoint_bytes_are_pinned(self, tmp_path):
+        # the header's fields and key order, and every entry, as of format version 1
+        m = make_model(seed=18).grow(2)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, m, epoch=3, seeds={"root": 18})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "217ba9600f8090a6dc08774fe77cea0797ff1bd43bfbc0c4ba3fb6d658089bfd")
 
     def test_save_is_deterministic(self, tmp_path):
         m = warm(make_model(seed=16))

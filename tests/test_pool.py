@@ -37,7 +37,6 @@ def pool(monkeypatch):
     def force(width):
         monkeypatch.setattr(ad, "_WORKERS", width)
         monkeypatch.setattr(ad, "_MIN_SHARE_FLOP", 0)
-        monkeypatch.setattr(ad, "_MIN_SEGMENT_SIZE", 0)
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)  # one slice per block
         monkeypatch.setattr(ad, "_pool", None)
         monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
@@ -305,3 +304,12 @@ def test_public_calls_stay_on_the_main_thread(pool, toy_data, pretrained, monkey
     assert "autodiff.conv2d" in calls and "Tape.backward" in calls
     assert tasks  # the pool did run work
     assert off_main == []
+
+
+@pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_a_non_ascii_thread_count_is_skipped_like_an_unset_one(monkeypatch, var):
+    for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    unset = ad._pool_width()
+    monkeypatch.setenv(var, "\u00b2")  # "²".isdigit() holds, but int("²") raises
+    assert ad._pool_width() == unset

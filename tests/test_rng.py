@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from segadapt.rng import SeedBundle, named_stream
+from segadapt.rng import named_stream
 
 
 def test_same_name_same_seed_reproduces():
@@ -31,14 +31,3 @@ def test_root_seed_range_validated():
         named_stream(2**64, "data")
     named_stream(0, "data")
     named_stream(2**64 - 1, "data")
-
-
-def test_bundle_caches_one_generator_per_name():
-    b = SeedBundle(99)
-    s1 = b.stream("order")
-    s2 = b.stream("order")
-    assert s1 is s2
-    # drawing from the cached stream advances it; a fresh bundle replays
-    first = b.stream("eval").integers(0, 1000, 8)
-    again = SeedBundle(99).stream("eval").integers(0, 1000, 8)
-    assert np.array_equal(first, again)
