@@ -7,8 +7,7 @@ from .data import DatasetError, LabeledSet, UnlabeledSet, load_dataset, save_dat
 from .estimators import (FineTuner, MultiHeadAdapter, NumericFailure, PtbnAdapter,
                          SelfTrainAdapter, SourceTrainer, TentAdapter, TrainLog)
 from .inference import infer_ensemble, infer_single
-from .losses import (combined_loss, dice_loss, mean_prediction_entropy,
-                     multi_head_dice_loss, per_head_entropy, weighted_dice_loss)
+from .losses import dice_loss, mean_prediction_entropy
 from .metrics import (CaseResult, DegenerateStatsError, aggregate, assd,
                       dice_coefficient, paired_t_test)
 from .model import ArchConfig, SegModel

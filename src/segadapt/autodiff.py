@@ -406,18 +406,13 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
                  lambda g: (_unreduce(g, a.data, axis, keepdims) * DTYPE(g.size / a.data.size),))
 
 
-def flip(a, axis: int) -> Tensor:
-    """Reversal along one axis; backward is the same flip."""
+def permute(a, forward, backward) -> Tensor:
+    """An element permutation: ``forward`` permutes an array (a copy or a view,
+    made contiguous here) and ``backward``, which may run on a pool worker,
+    undoes it on the output's gradient."""
     a = as_tensor(a)
-    return _node(np.flip(a.data, axis=axis).copy(), (a,), lambda g: (np.flip(g, axis=axis),))
-
-
-def rot90k(a, k: int) -> Tensor:
-    """Rotate the last two axes counter-clockwise by k quarter turns."""
-    a = as_tensor(a)
-    k = k % 4
-    return _node(np.rot90(a.data, k, axes=(-2, -1)).copy(), (a,),
-                 lambda g: (np.rot90(g, -k, axes=(-2, -1)).copy(),))
+    return _node(np.ascontiguousarray(forward(a.data)), (a,),
+                 lambda g: (np.ascontiguousarray(backward(g)),))
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +626,10 @@ class BatchNorm2d:
     input from them, by the forward's own ops, instead of keeping it.
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, leak: float = 1.0):
+    eps, momentum = 1e-5, 0.1
+
+    def __init__(self, channels: int, leak: float = 1.0):
         self.channels = channels
-        self.eps = float(eps)
-        self.momentum = float(momentum)
         self.leak = float(leak)
         self.gamma = Tensor(np.ones(channels, dtype=DTYPE), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=DTYPE), requires_grad=True)

@@ -37,6 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import BatchNorm2d
 from .model import MAX_HEADS, ArchConfig, SegModel
 
 MAGIC = b"UPLC"
@@ -59,8 +60,8 @@ def _collect_arrays(model: SegModel) -> dict[str, np.ndarray]:
 def save_checkpoint(path, model: SegModel, epoch: int = 0, seeds: dict | None = None) -> None:
     header = {
         "arch": asdict(model.arch),
-        "bn_eps": 1e-5,
-        "bn_momentum": 0.1,
+        "bn_eps": BatchNorm2d.eps,
+        "bn_momentum": BatchNorm2d.momentum,
         "num_heads": model.num_heads,
         "head_dropout": model.head_dropout,
         "epoch": int(epoch),

@@ -17,7 +17,8 @@ File layout, little-endian:
 
 Labels are always stored; unlabeled use means dropping them in memory.
 Images must be square (transform family acts on square frames only).
-Loading rejects a file with any non-finite pixel.
+Loading rejects a file with any non-finite pixel, and every set rejects a
+case that owns no slices.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class UnlabeledSet:
             raise DatasetError("case_index length does not match image count")
         if len(self.case_index) and (self.case_index.min() < 0 or self.case_index.max() >= len(self.case_ids)):
             raise DatasetError("case index out of range")
+        empty = np.bincount(self.case_index, minlength=len(self.case_ids)) == 0
+        if empty.any():
+            raise DatasetError(f"case {self.case_ids[int(empty.argmax())]!r} owns no slices")
 
     def __len__(self) -> int:
         return len(self.images)

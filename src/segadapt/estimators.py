@@ -37,8 +37,7 @@ from .autodiff import Tape
 from .config import AdaptConfig, PretrainConfig
 from .data import LabeledSet, UnlabeledSet
 from .inference import head_probs, infer_ensemble, infer_single
-from .losses import (combined_loss, dice_loss, mean_prediction_entropy,
-                     multi_head_dice_loss, per_head_entropy)
+from .losses import dice_loss, mean_prediction_entropy
 from .metrics import dice_coefficient
 from .model import ArchConfig, SegModel
 from .optim import Adam
@@ -130,13 +129,13 @@ def _check_finite(value: float, **ctx):
         raise NumericFailure(f"non-finite loss {value!r}", dict(ctx, loss=float(value)))
 
 
-def _pseudo_label(prob: np.ndarray, tau: float | None, cleanup: bool, step: int, **ctx):
+def _pseudo_label(prob: np.ndarray, tau: float | None, cleanup: bool, **ctx):
     """Pseudo labels from the model's own prediction. A non-finite value there
     fails the run like a non-finite loss, where ``make_pseudo_label`` would
     reject it as bad input."""
     if not np.isfinite(prob).all():
-        raise NumericFailure("non-finite prediction", dict(ctx, step=step, loss=float("nan")))
-    return make_pseudo_label(prob, tau, cleanup=cleanup, step=step)
+        raise NumericFailure("non-finite prediction", dict(ctx, loss=float("nan")))
+    return make_pseudo_label(prob, tau, cleanup=cleanup)
 
 
 def validation_dice(predict_fn, val: LabeledSet, num_classes: int) -> tuple[float, list]:
@@ -159,6 +158,13 @@ class SegmentationEstimator:
 
     def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int):
         self.model, self.cfg, self.seed = model, cfg, seed
+
+    def _source_copy(self) -> SegModel:
+        """A copy of the source model, head dropout off: only ``MultiHeadAdapter``
+        drops out, but a one-head UPL checkpoint still carries the gate."""
+        work = self.model.clone()
+        work.head_dropout = False
+        return work
 
     def _fit_epochs(self, work: SegModel, opt: Adam, train: UnlabeledSet,
                     val: LabeledSet, step_fn, *, lr_fn=None, predict_fn=None):
@@ -210,7 +216,7 @@ class SegmentationEstimator:
         def step_fn(idx, epoch, step):
             y = one_hot(train.labels[idx], work.num_classes)
             with Tape() as tape:
-                loss = dice_loss(work.forward_head(train.images[idx], 0, train=True), y)
+                loss = dice_loss([work.forward_head(train.images[idx], 0, train=True)], y)
                 _check_finite(loss.item(), stage=stage, epoch=epoch, step=step, lr=opt.lr)
                 tape.backward(loss)
             return {"loss": loss.item()}
@@ -240,7 +246,7 @@ class FineTuner(SegmentationEstimator):
     """Supervised Dice training continued from a pre-trained model."""
 
     def fit(self, train: LabeledSet, val: LabeledSet):
-        return self._supervised(self.model.clone(), train, val, lambda e: self.cfg.lr,
+        return self._supervised(self._source_copy(), train, val, lambda e: self.cfg.lr,
                                 "finetune")
 
 
@@ -283,16 +289,14 @@ class MultiHeadAdapter(SegmentationEstimator):
             if "TFS" not in ablate:
                 mean = np.stack([p.data for p in heads_pass(x)]).mean(axis=0,
                                                                        dtype=np.float32)
-                bundle = _pseudo_label(mean, tau, cfg.cleanup, step, stage="adapt",
-                                       epoch=epoch)
+                bundle = _pseudo_label(mean, tau, cfg.cleanup, stage="adapt", epoch=epoch,
+                                       step=step)
                 terms["reliable_fraction"] = bundle.reliable_fraction
             with Tape() as tape:
                 probs = heads_pass(x)
                 loss = None  # check_ablate keeps at least one term
                 if bundle is not None:
-                    if bundle.step != step:  # two-pass pairing contract
-                        raise RuntimeError("pseudo-label bundle is stale")
-                    loss = multi_head_dice_loss(probs, bundle)
+                    loss = dice_loss(probs, bundle.pseudo_onehot, bundle.reliability)
                     terms["loss"] = loss.item()
                 if "LMENT" not in ablate:
                     ment = mean_prediction_entropy(probs)
@@ -316,7 +320,7 @@ class PtbnAdapter(SegmentationEstimator):
     ``cfg`` value."""
 
     def fit(self, train: UnlabeledSet, val: LabeledSet):
-        work = self.model.clone()
+        work = self._source_copy()
         t0 = time.monotonic()
         for c in range(train.n_cases):
             x = train.images[train.case_slices(c)]
@@ -341,7 +345,7 @@ class TentAdapter(SegmentationEstimator):
     """
 
     def fit(self, train: UnlabeledSet, val: LabeledSet):
-        work = self.model.clone()
+        work = self._source_copy()
         affine = set(id(t) for t in work.parameter_groups("bn_affine_only"))
         for t in work.parameter_groups("all"):
             t.requires_grad = id(t) in affine
@@ -355,7 +359,7 @@ class TentAdapter(SegmentationEstimator):
                 p = work.forward_head(train.images[idx], 0, train=True)
                 for bn, (mean, var, n) in zip(bns, frozen):
                     bn.running_mean, bn.running_var, bn.num_batches = mean, var, n
-                loss = per_head_entropy([p])
+                loss = mean_prediction_entropy([p])
                 _check_finite(loss.item(), stage="tent", epoch=epoch, step=step)
                 tape.backward(loss)
             return {"loss_entropy": loss.item()}
@@ -370,16 +374,16 @@ class SelfTrainAdapter(SegmentationEstimator):
 
     def fit(self, train: UnlabeledSet, val: LabeledSet):
         cfg = self.cfg
-        work = self.model.clone()
+        work = self._source_copy()
 
         def step_fn(idx, epoch, step):
             with Tape() as tape:
                 p = work.forward_head(train.images[idx], 0, train=True)
-                bundle = _pseudo_label(p.data, None, cfg.cleanup, step, stage="selftrain",
-                                       epoch=epoch)
-                sup = multi_head_dice_loss([p], bundle)
+                bundle = _pseudo_label(p.data, None, cfg.cleanup, stage="selftrain",
+                                       epoch=epoch, step=step)
+                sup = dice_loss([p], bundle.pseudo_onehot, bundle.reliability)
                 ment = mean_prediction_entropy([p])
-                loss = combined_loss(sup, ment, cfg.entropy_weight)
+                loss = sup + ment * cfg.entropy_weight
                 _check_finite(loss.item(), stage="selftrain", epoch=epoch, step=step,
                               loss_sup=sup.item(), loss_entropy=ment.item())
                 tape.backward(loss)

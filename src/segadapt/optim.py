@@ -14,13 +14,13 @@ class Adam:
     apart from the shared step counter, and so is every parameter at lr 0.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, betas=(0.9, 0.999), eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         if not lr >= 0:  # False for nan
             raise ValueError(f"lr must be >= 0, got {lr}")
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = float(betas[0]), float(betas[1])
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -154,20 +154,18 @@ def cleanup_label_map(label_map: np.ndarray, num_classes: int) -> np.ndarray:
 
 @dataclass
 class PseudoLabelBundle:
-    """Frozen supervision targets for one batch: one-hot labels, reliability
-    maps, and the training step they belong to."""
+    """Frozen supervision targets for one batch: one-hot labels, reliability maps."""
 
     pseudo_onehot: np.ndarray  # [B,C,H,W] float32
     reliability: np.ndarray  # [B,H,W] float32 in {0,1}
-    step: int = -1
 
     @property
     def reliable_fraction(self) -> float:
         return float(self.reliability.mean())
 
 
-def make_pseudo_label(mean_prob: np.ndarray, tau: float | None, cleanup: bool = True,
-                      step: int = -1) -> PseudoLabelBundle:
+def make_pseudo_label(mean_prob: np.ndarray, tau: float | None,
+                      cleanup: bool = True) -> PseudoLabelBundle:
     """Build the supervision bundle from a batched mean prediction [B,C,H,W].
 
     ``tau=None`` skips thresholding: every pixel counts as reliable.
@@ -186,23 +184,23 @@ def make_pseudo_label(mean_prob: np.ndarray, tau: float | None, cleanup: bool = 
         rel = np.ones(labels.shape, dtype=np.float32)
     else:
         rel = reliability_map(mean_prob, tau)
-    return PseudoLabelBundle(one_hot(labels, c), rel, step=step)
+    return PseudoLabelBundle(one_hot(labels, c), rel)
 
 
 # ---------------------------------------------------------------------------
 # PGM export
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
-    """Binary PGM (P5) writer for 2-D uint8 data."""
+def write_pgm(path, image: np.ndarray) -> None:
+    """Binary PGM (P5) writer for 2-D data in 0..255, stored as uint8."""
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("PGM export needs a 2-D array")
-    if image.min() < 0 or image.max() > maxval:
+    if image.min() < 0 or image.max() > 255:
         raise ValueError("pixel values out of PGM range")
     data = image.astype(np.uint8)
     with open(path, "wb") as f:
-        f.write(f"P5\n{image.shape[1]} {image.shape[0]}\n{maxval}\n".encode("ascii"))
+        f.write(f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode("ascii"))
         f.write(data.tobytes())
 
 

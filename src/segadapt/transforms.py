@@ -9,6 +9,7 @@ pixel permutation, and applying a transform commutes with channel argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,39 +38,33 @@ FAMILY = tuple(
 )
 
 
-def _check_shape(t: SpatialTransform, x) -> None:
-    shape = x.shape
-    if len(shape) < 2:
-        raise ValueError(f"spatial transforms need at least 2 axes, got shape {tuple(shape)}")
-    # odd quarter turns swap the trailing axes, so those must agree
-    if t.quarters % 2 == 1 and shape[-1] != shape[-2]:
-        raise ValueError(f"odd rotation needs square trailing axes, got shape {tuple(shape)}")
+def _apply(t: SpatialTransform, x: np.ndarray) -> np.ndarray:
+    """t on the last two axes of an array, as a view of it."""
+    if t.flip_h:
+        x = np.flip(x, axis=-1)
+    if t.flip_v:
+        x = np.flip(x, axis=-2)
+    if t.quarters:
+        x = np.rot90(x, t.quarters, axes=(-2, -1))
+    return x
 
 
 def apply_transform(t: SpatialTransform, x):
-    """Apply t to a Tensor or ndarray over the last two axes.
-
-    Tensor inputs stay in the autodiff graph (a permutation's gradient is the
-    inverse permutation, handled by the flip/rot90 primitives).
-    """
-    _check_shape(t, x)
-    if isinstance(x, ad.Tensor):
-        out = x
-        if t.flip_h:
-            out = ad.flip(out, axis=-1)
-        if t.flip_v:
-            out = ad.flip(out, axis=-2)
-        if t.quarters:
-            out = ad.rot90k(out, t.quarters)
-        return out
-    out = np.asarray(x)
-    if t.flip_h:
-        out = np.flip(out, axis=-1)
-    if t.flip_v:
-        out = np.flip(out, axis=-2)
-    if t.quarters:
-        out = np.rot90(out, t.quarters, axes=(-2, -1))
-    return np.ascontiguousarray(out)
+    """Apply t to a Tensor or ndarray over the last two axes. A Tensor stays
+    in the autodiff graph as one ``permute`` node whose backward applies the
+    inverse, computed here: backward may run on a pool worker, which calls no
+    public function."""
+    shape = tuple(x.shape)
+    if len(shape) < 2:
+        raise ValueError(f"spatial transforms need at least 2 axes, got shape {shape}")
+    # odd quarter turns swap the trailing axes, so those must agree
+    if t.quarters % 2 == 1 and shape[-1] != shape[-2]:
+        raise ValueError(f"odd rotation needs square trailing axes, got shape {shape}")
+    if not isinstance(x, ad.Tensor):
+        return np.ascontiguousarray(_apply(t, np.asarray(x)))
+    if t == IDENTITY:
+        return x
+    return ad.permute(x, partial(_apply, t), partial(_apply, inverse(t)))
 
 
 def inverse(t: SpatialTransform) -> SpatialTransform:

@@ -5,16 +5,18 @@ from __future__ import annotations
 
 import numpy as np
 
+PROB_ATOL = 1e-3  # slack of a probability map's range and channel sums
 
-def check_prob_map(p: np.ndarray, atol: float = 1e-3) -> np.ndarray:
-    """[..., C, H, W] nonnegative, channel sums within atol of 1; NaN fails."""
+
+def check_prob_map(p: np.ndarray) -> np.ndarray:
+    """[..., C, H, W] in [0,1] with channel sums of 1, within PROB_ATOL; NaN fails."""
     p = np.asarray(p)
     if p.ndim < 3:
         raise ValueError(f"probability map must be [..., C, H, W], got shape {p.shape}")
     # negated so that NaN, which compares False, fails
-    if not (p.min() >= -atol and p.max() <= 1 + atol):
+    if not (p.min() >= -PROB_ATOL and p.max() <= 1 + PROB_ATOL):
         raise ValueError("probability map values outside [0,1]")
-    if not np.abs(p.sum(axis=-3) - 1.0).max() <= atol:
+    if not np.abs(p.sum(axis=-3) - 1.0).max() <= PROB_ATOL:
         raise ValueError("probability map channels do not sum to 1")
     return p
 

@@ -294,13 +294,6 @@ def mean_entropy_f64(head_probs, clamp=1e-12):
     return float(ent.mean(axis=(1, 2)).mean())
 
 
-def per_head_entropy_f64(head_probs, clamp=1e-12):
-    vals = []
-    for h in head_probs:
-        vals.append(mean_entropy_f64([h], clamp=clamp))
-    return float(sum(vals) / len(vals))
-
-
 class FiniteDifferenceReport:
     def __init__(self, rel_errors):
         self.rel_errors = np.asarray(rel_errors, dtype=np.float64)

@@ -26,13 +26,7 @@ from segadapt.data import LabeledSet
 from segadapt.estimators import PtbnAdapter, SourceTrainer, TentAdapter
 from segadapt.config import AdaptConfig, PretrainConfig
 from segadapt.inference import head_probs, infer_single
-from segadapt.losses import (
-    combined_loss,
-    mean_prediction_entropy,
-    multi_head_dice_loss,
-    per_head_entropy,
-    weighted_dice_loss,
-)
+from segadapt.losses import dice_loss, mean_prediction_entropy
 from segadapt.metrics import assd, dice_coefficient, paired_t_test
 from segadapt.model import ArchConfig, SegModel
 from segadapt.pseudolabel import cleanup_label_map, ensemble_mean, one_hot, reliability_map
@@ -52,7 +46,6 @@ from _oracles import (
     maxpool_f64,
     mean_entropy_f64,
     paired_t_reference,
-    per_head_entropy_f64,
     softmax_f64,
     upsample_f64,
     wdice_f64,
@@ -196,7 +189,7 @@ class TestGradientAudit:
         m[0, 0, 0], m[0, 0, 1] = 0.0, 1.0  # both mask values present
         check(
             "weighted-dice",
-            lambda: weighted_dice_loss(p, y, m),
+            lambda: dice_loss([p], y, m),
             lambda: float(wdice_f64(p.data, y, m)),
             [p],
         )
@@ -206,18 +199,17 @@ class TestGradientAudit:
         y1 = _onehot_batch(rng, 1, 3, 4, 4)
         m1 = (rng.random((1, 4, 4)) < 0.6).astype(np.float32)
         m1[0, 0, 0], m1[0, 0, 1] = 0.0, 1.0
-        bundle = SimpleNamespace(pseudo_onehot=y1, reliability=m1)
         check(
             "multi-head-dice",
-            lambda: multi_head_dice_loss([h1, h2], bundle),
+            lambda: dice_loss([h1, h2], y1, m1),
             lambda: float((wdice_f64(h1.data, y1, m1) + wdice_f64(h2.data, y1, m1)) / 2.0),
             [h1, h2],
         )
         check(
-            "per-head-entropy",
-            lambda: per_head_entropy([h1, h2]),
-            lambda: float(per_head_entropy_f64([h1.data, h2.data])),
-            [h1, h2],
+            "one-head-entropy",
+            lambda: mean_prediction_entropy([h1]),
+            lambda: float(mean_entropy_f64([h1.data])),
+            [h1],
         )
         check(
             "mean-entropy",
@@ -227,9 +219,7 @@ class TestGradientAudit:
         )
         check(
             "combined",
-            lambda: combined_loss(
-                weighted_dice_loss(p, y, m), mean_prediction_entropy([h1, h2]), 0.7
-            ),
+            lambda: dice_loss([p], y, m) + mean_prediction_entropy([h1, h2]) * 0.7,
             lambda: float(wdice_f64(p.data, y, m) + 0.7 * mean_entropy_f64([h1.data, h2.data])),
             [p, h1, h2],
         )
@@ -249,13 +239,18 @@ class TestGradientAudit:
 # entropy bounds on head ensembles
 
 
+def per_head_mean(heads) -> np.float32:
+    """Mean over heads of each head's own entropy, in float32."""
+    return np.mean([mean_prediction_entropy([h]).data for h in heads], dtype=np.float32)
+
+
 class TestEntropyBounds:
     def test_opposite_heads_hit_the_bounds_and_jensen_gap_never_flips(self):
         c0 = np.zeros((1, 2, 4, 4), np.float32)
         c0[:, 0] = 1.0
         c1 = np.zeros((1, 2, 4, 4), np.float32)
         c1[:, 1] = 1.0
-        ph = float(per_head_entropy([Tensor(c0), Tensor(c1)]).data)
+        ph = float(per_head_mean([Tensor(c0), Tensor(c1)]))
         me = float(mean_prediction_entropy([Tensor(c0), Tensor(c1)]).data)
         zero_ok = ph == 0.0
         ln2_err = abs(me - math.log(2.0))
@@ -265,7 +260,7 @@ class TestEntropyBounds:
         for _ in range(1000):
             k = int(rng.integers(1, 5))
             heads = [Tensor(_probs(rng, (1, 3, 4, 4))) for _ in range(k)]
-            gap = float(per_head_entropy(heads).data) - float(mean_prediction_entropy(heads).data)
+            gap = float(per_head_mean(heads)) - float(mean_prediction_entropy(heads).data)
             worst_gap = max(worst_gap, gap)
 
         report(
@@ -291,7 +286,7 @@ class TestReliabilityGating:
             m[0, 0, 0], m[0, 0, 1] = 0.0, 1.0
             p.grad = None
             with ad.Tape() as tape:
-                tape.backward(weighted_dice_loss(p, y, m))
+                tape.backward(dice_loss([p], y, m))
             g = p.grad
             zero_ok = zero_ok and bool(np.all(g[0][:, m[0] == 0.0] == 0.0))
             lively_ok = lively_ok and bool(np.any(g[0][:, m[0] == 1.0] != 0.0))

@@ -255,30 +255,25 @@ class TestShapeOps:
 
         fd_assert(lambda: ad.tsum(ad.tmean(a, axis=0) * ad.tmean(a, axis=0)), ref, [a])
 
-    def test_flip_and_rot90_match_index_arithmetic(self):
-        a = rand((2, 3, 4, 4), 26)
-        f = ad.flip(ad.Tensor(a), axis=3).data
-        for j in range(4):
-            assert np.array_equal(f[..., j], a[..., 3 - j])
-        r = ad.rot90k(ad.Tensor(a), 1).data
-        W = 4
-        for y in range(4):
-            for x in range(W):
-                assert np.array_equal(r[:, :, y, x], a[:, :, x, W - 1 - y])
-
-    def test_flip_rot_gradients(self):
+    def test_permute_matches_index_arithmetic_and_finite_differences(self):
+        # flip along H, then one counter-clockwise quarter turn; backward undoes both
         a = leaf((1, 2, 4, 4), 27)
+        fwd = lambda x: np.rot90(np.flip(x, axis=-2), 1, axes=(-2, -1))
+        bwd = lambda g: np.flip(np.rot90(g, -1, axes=(-2, -1)), axis=-2)
+        r = ad.permute(a, fwd, bwd).data
+        assert r.flags.c_contiguous
+        n = 4
+        for y in range(n):
+            for x in range(n):
+                assert np.array_equal(r[:, :, y, x], a.data[:, :, n - 1 - x, n - 1 - y])
         g = np.arange(32, dtype=np.float32).reshape(1, 2, 4, 4)
 
-        def ad_loss():
-            return ad.tsum(ad.rot90k(ad.flip(a, axis=2), 3) * ad.Tensor(g))
-
         def ref():
-            moved = ad.rot90k(ad.flip(ad.Tensor(a.data), axis=2), 3).data
-            return float((moved.astype(np.float64) * g.astype(np.float64)).sum())
+            return float((fwd(a.data).astype(np.float64) * g.astype(np.float64)).sum())
 
         # permutation of a linear probe: gradients should be near-exact
-        fd_assert(ad_loss, ref, [a], floor=1e-3)
+        fd_assert(lambda: ad.tsum(ad.permute(a, fwd, bwd) * ad.Tensor(g)), ref, [a],
+                  floor=1e-3)
 
 
 # ---------------------------------------------------------------------
@@ -745,7 +740,7 @@ class TestTape:
 def test_composite_conv_bn_relu_softmax_dice_gradients():
     """Whole small graph, every parameter checked against finite differences
     of an independent float64 chain."""
-    from segadapt.losses import weighted_dice_loss
+    from segadapt.losses import dice_loss
 
     x = leaf((1, 2, 8, 8), 100)
     w = leaf((2, 2, 3, 3), 101)
@@ -758,7 +753,7 @@ def test_composite_conv_bn_relu_softmax_dice_gradients():
         h = ad.conv2d(x, w, b)
         h = bn.forward(h, train=True)
         p = ad.softmax_channel(h)
-        return weighted_dice_loss(p, y, m)
+        return dice_loss([p], y, m)
 
     def ref():
         h = conv2d_f64(x.data, w.data, b.data)

@@ -616,6 +616,29 @@ class TestAdapt:
 
 
 @pytest.fixture(scope="module")
+def one_head_upl(ws):
+    """``adapt --method upl`` with ``[adapt] heads = 1``: a one-head checkpoint
+    saved with head dropout on."""
+    cfg = ws.root / "one_head.cfg"
+    cfg.write_text(MINI_CFG.replace("heads = 2", "heads = 1"))
+    out = ws.root / "upl_one_head"
+    assert cli.main(["adapt", "--data", str(ws.data), "--out", str(out), "--config",
+                     str(cfg), "--checkpoint", str(ws.ckpt), "--seed", "6"]) == 0
+    return out / "adapted.uplc"
+
+
+@pytest.mark.parametrize("method", ["selftrain", "tent", "ptbn", "finetune-train",
+                                    "finetune-valid"])
+def test_one_head_upl_checkpoint_adapts_with_every_baseline(ws, tmp_path, one_head_upl,
+                                                            method):
+    assert read_entries(one_head_upl)[0]["head_dropout"] is True
+    out = tmp_path / "o"
+    assert cli.main(["adapt", "--data", str(ws.data), "--out", str(out), "--config",
+                     str(ws.cfg), "--method", method, "--checkpoint", str(one_head_upl)]) == 0
+    assert load_checkpoint(out / "adapted.uplc")[0].num_heads == 1
+
+
+@pytest.fixture(scope="module")
 def results(ws):
     out = ws.root / "eval_single" / "results.csv"
     rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
@@ -876,6 +899,48 @@ class TestMisfitData:
         rc = cli.main(argv + ["--config", str(ws.cfg)])
         assert rc == 3
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+
+def add_empty_case(src, dst, cid="ghost"):
+    """Copy of the dataset file ``src`` whose case table lists one more case,
+    ``cid``, that owns no slices (``save_dataset`` refuses to write one)."""
+    blob = src.read_bytes()
+    n_cases = struct.unpack_from("<I", blob, 22)[0]
+    pos = 26
+    for _ in range(n_cases):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0]
+    entry = struct.pack("<H", len(cid)) + cid.encode()
+    dst.write_bytes(blob[:22] + struct.pack("<I", n_cases + 1) + blob[26:pos] + entry
+                    + blob[pos:])
+
+
+class TestEmptyCase:
+    @pytest.mark.parametrize("command,named", [
+        ("pretrain", "source_train.upld"),
+        ("adapt-upl", "target_train.upld"),
+        ("eval-ensemble", "target_test.upld"),
+        ("eval-single", "target_test.upld"),
+    ])
+    def test_a_case_without_slices_exits_3_naming_it(self, ws, tmp_path, capsys,
+                                                      command, named):
+        data, out = tmp_path / "data", tmp_path / "o"
+        data.mkdir()
+        for name in DATA_FILES:
+            (data / name).write_bytes((ws.data / name).read_bytes())
+        add_empty_case(ws.data / named, data / named)
+        ckpt = ["--checkpoint", str(ws.ckpt)]
+        argv = {
+            "pretrain": ["pretrain", "--data", str(data), "--out", str(out)],
+            "adapt-upl": ["adapt", "--data", str(data), "--out", str(out)] + ckpt,
+            "eval-ensemble": ["eval", "--data", str(data / named), "--out",
+                              str(out / "r.csv"), "--mode", "ensemble"] + ckpt,
+            "eval-single": ["eval", "--data", str(data / named), "--out",
+                            str(out / "r.csv"), "--mode", "single"] + ckpt,
+        }[command]
+        rc = cli.main(argv + ["--config", str(ws.cfg)])
+        assert rc == 3
+        assert "case 'ghost' owns no slices" in capsys.readouterr().err
         assert not out.exists()
 
 

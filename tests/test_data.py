@@ -141,6 +141,10 @@ class TestContainers:
                 np.zeros((2, 4, 4), np.float32),
             )
 
+    def test_a_case_without_slices_is_rejected_by_name(self):
+        with pytest.raises(DatasetError, match="case 'c1' owns no slices"):
+            UnlabeledSet(np.zeros((2, 1, 4, 4), np.float32), [0, 2], ["c0", "c1", "c2"])
+
     def test_case_grouping(self):
         ds = self.make_set()
         assert len(ds) == 5 and ds.n_cases == 2

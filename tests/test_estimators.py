@@ -23,7 +23,7 @@ from segadapt.estimators import (
 )
 from segadapt.inference import head_probs, infer_ensemble, infer_single
 from segadapt.model import ArchConfig, SegModel
-from segadapt.pseudolabel import ensemble_mean, make_pseudo_label
+from segadapt.pseudolabel import ensemble_mean
 from segadapt.rng import named_stream
 from segadapt.transforms import IDENTITY
 from _oracles import (
@@ -309,17 +309,6 @@ class TestMultiHeadAdapter:
             assert np.array_equal(arr, before[src]), n
         assert a.log_.records[0].reliable_fraction == 0.0
         assert a.log_.records[0].loss == 1.0
-
-    def test_stale_bundle_is_refused(self, toy_data, pretrained, monkeypatch):
-        train, val = toy_data
-
-        def stale(mean, tau, cleanup=True, step=-1):
-            return make_pseudo_label(mean, tau, cleanup=cleanup, step=step - 1)
-
-        monkeypatch.setattr(est, "make_pseudo_label", stale)
-        with pytest.raises(RuntimeError, match="stale"):
-            MultiHeadAdapter(pretrained, AdaptConfig(epochs=1), 23).fit(
-                train.drop_labels(), val)
 
     def test_toggles_off_single_head_matches_selftrain_step(self, pretrained):
         data = square_set(25, n_cases=1, n_slices=2)

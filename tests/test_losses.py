@@ -1,4 +1,5 @@
-"""Weighted Dice, entropy terms, and the combined adaptation objective."""
+"""The two training terms, weighted Dice over heads and mean-prediction
+entropy, and the adaptation objective that sums them."""
 
 import math
 
@@ -6,22 +7,9 @@ import numpy as np
 import pytest
 
 from segadapt import autodiff as ad
-from segadapt.losses import (
-    combined_loss,
-    dice_loss,
-    mean_prediction_entropy,
-    multi_head_dice_loss,
-    per_head_entropy,
-    weighted_dice_loss,
-)
-from segadapt.pseudolabel import PseudoLabelBundle, make_pseudo_label, one_hot
-from _oracles import (
-    finite_difference_check,
-    mean_entropy_f64,
-    per_head_entropy_f64,
-    softmax_f64,
-    wdice_f64,
-)
+from segadapt.losses import dice_loss, mean_prediction_entropy
+from segadapt.pseudolabel import make_pseudo_label, one_hot
+from _oracles import finite_difference_check, mean_entropy_f64, softmax_f64, wdice_f64
 
 ETA = 1e-5
 
@@ -50,7 +38,7 @@ class TestWeightedDice:
     def test_perfect_match_is_nearly_zero(self):
         y = rand_onehot((2, 3, 6, 6), 0)
         m = np.ones((2, 6, 6), np.float32)
-        loss = weighted_dice_loss(ad.Tensor(y), y, m)
+        loss = dice_loss([ad.Tensor(y)], y, m)
         assert 0.0 <= loss.data < 1e-4
 
     def test_all_zero_mask_gives_one_with_zero_gradient(self):
@@ -58,7 +46,7 @@ class TestWeightedDice:
         y = rand_onehot((1, 3, 5, 5), 2)
         m = np.zeros((1, 5, 5), np.float32)
         with ad.Tape() as tape:
-            loss = weighted_dice_loss(ad.softmax_channel(p), y, m)
+            loss = dice_loss([ad.softmax_channel(p)], y, m)
             tape.backward(loss)
         assert loss.data == 1.0
         assert np.all(p.grad == 0.0)
@@ -69,7 +57,7 @@ class TestWeightedDice:
         rng = np.random.default_rng(5)
         m = (rng.random((1, 6, 6)) < 0.5).astype(np.float32)
         with ad.Tape() as tape:
-            loss = weighted_dice_loss(p, y, m)
+            loss = dice_loss([p], y, m)
             tape.backward(loss)
         dead = p.grad[:, :, m[0] == 0.0]
         live = p.grad[:, :, m[0] == 1.0]
@@ -92,7 +80,7 @@ class TestWeightedDice:
                     den += m[i, j] * (p[c, i, j] + y[c, i, j])
             expect += (num / (den + ETA)) / 2
         expect = 1.0 - expect
-        got = float(weighted_dice_loss(p[None], y[None], m[None]).data)
+        got = float(dice_loss([p[None]], y[None], m[None]).data)
         assert abs(got - expect) <= 1e-6
         assert abs(wdice_f64(p, y, m) - expect) <= 1e-6
 
@@ -102,7 +90,7 @@ class TestWeightedDice:
         y[0] = 1.0
         m = np.ones((1, 1), np.float32)
         expect = 1.0 - 0.5 * (1.0 / (1.5 + ETA))
-        assert abs(float(weighted_dice_loss(p[None], y[None], m[None]).data) - expect) <= 1e-6
+        assert abs(float(dice_loss([p[None]], y[None], m[None]).data) - expect) <= 1e-6
 
     def test_gradient_matches_finite_differences(self):
         z = prob_leaf((2, 3, 5, 5), 6)
@@ -110,7 +98,7 @@ class TestWeightedDice:
         rng = np.random.default_rng(8)
         m = (rng.random((2, 5, 5)) < 0.7).astype(np.float32)
         rep = finite_difference_check(
-            lambda: weighted_dice_loss(ad.softmax_channel(z), y, m),
+            lambda: dice_loss([ad.softmax_channel(z)], y, m),
             lambda: wdice_f64(softmax_f64(z.data), y, m),
             [z],
         )
@@ -121,26 +109,26 @@ class TestWeightedDice:
             p = rand_probs((1, 4, 7, 7), seed)
             y = rand_onehot((1, 4, 7, 7), seed + 100)
             m = (np.random.default_rng(seed).random((1, 7, 7)) < 0.6).astype(np.float32)
-            v = float(weighted_dice_loss(p, y, m).data)
+            v = float(dice_loss([p], y, m).data)
             assert 0.0 <= v <= 1.0
 
     def test_supervised_dice_is_all_ones_mask(self):
         p = rand_probs((2, 3, 6, 6), 9)
         y = rand_onehot((2, 3, 6, 6), 10)
-        a = dice_loss(p, y).data
-        b = weighted_dice_loss(p, y, np.ones((2, 6, 6), np.float32)).data
+        a = dice_loss([p], y).data
+        b = dice_loss([p], y, np.ones((2, 6, 6), np.float32)).data
         assert a == b
 
     def test_rejects_soft_targets_and_nonbinary_masks(self):
         p = rand_probs((1, 3, 4, 4), 11)
         soft = np.full((1, 3, 4, 4), 1.0 / 3.0, np.float32)
         with pytest.raises(ValueError):
-            weighted_dice_loss(p, soft, np.ones((1, 4, 4), np.float32))
+            dice_loss([p], soft, np.ones((1, 4, 4), np.float32))
         y = rand_onehot((1, 3, 4, 4), 12)
         with pytest.raises(ValueError):
-            weighted_dice_loss(p, y, np.full((1, 4, 4), 0.5, np.float32))
+            dice_loss([p], y, np.full((1, 4, 4), 0.5, np.float32))
         with pytest.raises(ValueError):
-            weighted_dice_loss(p, y[:, :, :2], np.ones((1, 4, 4), np.float32))
+            dice_loss([p], y[:, :, :2], np.ones((1, 4, 4), np.float32))
 
 
     @pytest.mark.parametrize("bad", [
@@ -163,18 +151,18 @@ class TestWeightedDice:
         else:
             m[1, 0, 0] = 2.0
         with pytest.raises(ValueError):
-            weighted_dice_loss(p, y, m)
+            dice_loss([p], y, m)
         with pytest.raises(ValueError):
-            multi_head_dice_loss([p], PseudoLabelBundle(y, m))
+            dice_loss([p, p], y, m)
 
 
 @pytest.mark.parametrize("loss", [
-    lambda p, y, m: weighted_dice_loss(p, y, m),
-    lambda p, y, m: dice_loss(p, y),
-    lambda p, y, m: multi_head_dice_loss([p], PseudoLabelBundle(y, m)),
+    lambda p, y, m: dice_loss([p], y, m),
+    lambda p, y, m: dice_loss([p], y),
+    lambda p, y, m: dice_loss([p, p], y, m),
     lambda p, y, m: mean_prediction_entropy([p]),
-    lambda p, y, m: per_head_entropy([p]),
-], ids=["weighted_dice", "dice", "multi_head_dice", "mean_entropy", "per_head_entropy"])
+    lambda p, y, m: mean_prediction_entropy([p, p]),
+], ids=["weighted_dice", "dice", "two_head_dice", "mean_entropy", "two_head_entropy"])
 def test_three_dim_input_is_rejected(loss):
     # one [C,H,W] sample with [C,H,W] targets and an [H,W] mask
     p = rand_probs((1, 3, 4, 4), 15)[0]
@@ -192,34 +180,39 @@ class TestMultiHead:
     def test_decomposes_into_per_head_average(self):
         bundle = self.make_bundle()
         heads = [rand_probs((1, 3, 6, 6), 30 + k) for k in range(4)]
-        whole = float(multi_head_dice_loss(heads, bundle).data)
+        whole = float(dice_loss(heads, bundle.pseudo_onehot, bundle.reliability).data)
         parts = [
-            float(weighted_dice_loss(h, bundle.pseudo_onehot, bundle.reliability).data)
+            float(dice_loss([h], bundle.pseudo_onehot, bundle.reliability).data)
             for h in heads
         ]
         assert abs(whole - sum(parts) / 4) <= 1e-6
 
-    def test_single_head_reduces_to_weighted_dice(self):
+    def test_two_identical_heads_give_the_one_head_loss(self):
+        # (d + d) * 0.5 is exactly d
         bundle = self.make_bundle(seed=21)
         h = rand_probs((1, 3, 6, 6), 40)
-        a = multi_head_dice_loss([h], bundle).data
-        b = weighted_dice_loss(h, bundle.pseudo_onehot, bundle.reliability).data
+        a = dice_loss([h, h], bundle.pseudo_onehot, bundle.reliability).data
+        b = dice_loss([h], bundle.pseudo_onehot, bundle.reliability).data
         assert a == b
 
     def test_shape_disagreement_rejected(self):
         bundle = self.make_bundle(seed=22)
         heads = [rand_probs((1, 3, 6, 6), 50), rand_probs((1, 3, 4, 4), 51)]
         with pytest.raises(ValueError):
-            multi_head_dice_loss(heads, bundle)
+            dice_loss(heads, bundle.pseudo_onehot, bundle.reliability)
         with pytest.raises(ValueError):
-            multi_head_dice_loss([], bundle)
+            dice_loss([], bundle.pseudo_onehot, bundle.reliability)
+        with pytest.raises(ValueError):
+            mean_prediction_entropy(heads)
+        with pytest.raises(ValueError):
+            mean_prediction_entropy([])
 
 
 class TestEntropy:
     def test_one_hot_prediction_has_zero_entropy(self):
         y = rand_onehot((1, 3, 5, 5), 60)
         assert float(mean_prediction_entropy([y]).data) == 0.0
-        assert float(per_head_entropy([y]).data) == 0.0
+        assert float(mean_prediction_entropy([y, y]).data) == 0.0
 
     def test_uniform_prediction_peaks_at_log_c(self):
         for c in (2, 3, 5):
@@ -232,24 +225,25 @@ class TestEntropy:
         b = np.zeros((1, 2, 4, 4), np.float32)
         a[:, 0] = 1.0
         b[:, 1] = 1.0
-        assert float(per_head_entropy([a, b]).data) == 0.0
+        assert per_head(a, b) == 0.0
         assert abs(float(mean_prediction_entropy([a, b]).data) - math.log(2)) <= 1e-6
 
-    def test_single_head_terms_coincide(self):
+    def test_two_identical_heads_give_the_one_head_entropy(self):
+        # (p + p) * 0.5 is exactly p
         p = rand_probs((2, 3, 5, 5), 61)
-        assert mean_prediction_entropy([p]).data == per_head_entropy([p]).data
+        assert mean_prediction_entropy([p, p]).data == mean_prediction_entropy([p]).data
 
     def test_per_head_never_exceeds_mean_entropy(self):
         for seed in range(200):
             heads = [rand_probs((1, 3, 4, 4), seed * 7 + k) for k in range(3)]
-            ph = float(per_head_entropy(heads).data)
             me = float(mean_prediction_entropy(heads).data)
-            assert ph <= me + 1e-6
+            assert per_head(*heads) <= me + 1e-6
 
     def test_matches_float64_oracles(self):
         heads = [rand_probs((2, 3, 6, 6), 70 + k) for k in range(4)]
         assert abs(float(mean_prediction_entropy(heads).data) - mean_entropy_f64(heads)) <= 1e-5
-        assert abs(float(per_head_entropy(heads).data) - per_head_entropy_f64(heads)) <= 1e-5
+        for h in heads:
+            assert abs(float(mean_prediction_entropy([h]).data) - mean_entropy_f64([h])) <= 1e-5
 
     def test_entropy_bounds(self):
         for seed in range(10):
@@ -269,20 +263,29 @@ class TestEntropy:
         )
         assert rep.p99 <= 1e-3 and rep.worst <= 1e-2
         rep = finite_difference_check(
-            lambda: per_head_entropy([ad.softmax_channel(z1), ad.softmax_channel(z2)]),
-            lambda: per_head_entropy_f64([softmax_f64(z1.data), softmax_f64(z2.data)]),
-            [z1, z2],
+            lambda: mean_prediction_entropy([ad.softmax_channel(z1)]),
+            lambda: mean_entropy_f64([softmax_f64(z1.data)]),
+            [z1],
         )
         assert rep.p99 <= 1e-3 and rep.worst <= 1e-2
 
 
+def per_head(*heads) -> float:
+    """Mean over heads of each head's own entropy."""
+    return sum(float(mean_prediction_entropy([h]).data) for h in heads) / len(heads)
+
+
 class TestCombined:
+    """The adaptation step's objective, ``dice + entropy * weight``."""
+
     def test_weight_scales_linearly(self):
-        pseudo = ad.Tensor(np.float32(0.7))
-        ent = ad.Tensor(np.float32(0.9))
+        p = rand_probs((1, 3, 5, 5), 94)
+        y = rand_onehot((1, 3, 5, 5), 93)
+        m = np.ones((1, 5, 5), np.float32)
+        sup, ent = dice_loss([p], y, m), mean_prediction_entropy([p])
         for lam in (0.0, 0.5, 1.0, 2.0):
-            got = float(combined_loss(pseudo, ent, lam).data)
-            assert abs(got - (0.7 + lam * 0.9)) <= 1e-6
+            got = float((sup + ent * lam).data)
+            assert abs(got - (float(sup.data) + lam * float(ent.data))) <= 1e-6
 
     def test_zero_weight_drops_the_entropy_gradient(self):
         z = prob_leaf((1, 2, 3, 3), 95)
@@ -293,16 +296,14 @@ class TestCombined:
             z.grad = None
             with ad.Tape() as tape:
                 p = ad.softmax_channel(z)
-                loss = combined_loss(
-                    weighted_dice_loss(p, y, m), mean_prediction_entropy([p]), lam
-                )
+                loss = dice_loss([p], y, m) + mean_prediction_entropy([p]) * lam
                 tape.backward(loss)
             return np.array(z.grad, copy=True)
 
         g0 = run(0.0)
         z2 = ad.Tensor(z.data.copy(), requires_grad=True)
         with ad.Tape() as tape:
-            loss = weighted_dice_loss(ad.softmax_channel(z2), y, m)
+            loss = dice_loss([ad.softmax_channel(z2)], y, m)
             tape.backward(loss)
         assert np.array_equal(g0, z2.grad)
         assert not np.array_equal(run(1.0), g0)

@@ -266,10 +266,6 @@ class TestMakePseudoLabel:
         with pytest.raises(ValueError):
             make_pseudo_label(bad, tau=0.5)
 
-    def test_step_is_carried(self):
-        mean = ensemble_mean(random_prob_maps(13))[None]
-        assert make_pseudo_label(mean, tau=0.5, step=17).step == 17
-
 
 @st.composite
 def head_batches(draw):
