@@ -32,6 +32,9 @@ is split only where the split cannot change a bit:
   adding the rest as ``_node`` does.
 
 So results are identical at any pool width, and to a serial replay.
+Per-channel work takes long inner loops only where numpy's bits stay: einsum
+for channel sums of channels-last arrays with C > 1, [B*H, W*C] rows for
+BatchNorm on them, and slice folds for softmax below 8 channels.
 """
 
 from __future__ import annotations
@@ -419,14 +422,26 @@ def permute(a, forward, backward) -> Tensor:
 # nonlinearity over channels
 
 
+def _channel_fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=1, keepdims=True)`` for np.add or np.maximum.
+    Below 8 channels numpy folds left to right (a sum from +0.0), so a ufunc
+    call per channel slice gives its bits with loops over rows, not C floats."""
+    if a.shape[1] >= 8:
+        return ufunc.reduce(a, axis=1, keepdims=True)
+    out = a[:, :1] + DTYPE(0) if ufunc is np.add else a[:, :1].copy()
+    for c in range(1, a.shape[1]):
+        ufunc(out, a[:, c : c + 1], out=out)
+    return out
+
+
 def softmax_channel(a) -> Tensor:
     """Stable softmax over the channel axis of a [B,C,H,W] input."""
     a = as_tensor(a)
     _check_4d(a.data, "softmax_channel input")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    shifted = a.data - _channel_fold(np.maximum, a.data)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    return _node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=1, keepdims=True)),))
+    p = e / _channel_fold(np.add, e)
+    return _node(p, (a,), lambda g: (p * (g - _channel_fold(np.add, g * p)),))
 
 
 def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
@@ -447,6 +462,20 @@ def dropout(a, rate: float, rng: np.random.Generator, train: bool) -> Tensor:
 def _check_4d(x: np.ndarray, name: str):
     if x.ndim != 4:
         raise ValueError(f"{name} expects [B,C,H,W], got shape {x.shape}")
+
+
+def _channels_last(a: np.ndarray) -> bool:
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=(0, 2, 3), dtype=float32)`` of a [B,C,H,W] array. On
+    channels-last memory with C > 1, einsum adds in numpy's order (pixel by
+    pixel into the C sums) with long inner loops: the same bits, but for the
+    sign of a NaN sum. On other layouts, or at C = 1, the two round otherwise."""
+    if a.shape[1] > 1 and _channels_last(a):
+        return np.einsum("bchw->c", a)
+    return a.sum(axis=(0, 2, 3), dtype=DTYPE)
 
 
 def conv2d(x, w, b=None, skip=None) -> Tensor:
@@ -476,9 +505,10 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
     ``g2d @ cols.T`` in one GEMM. The input gradient goes by slice blocks:
     ``w2d.T @ g2d_blk``, folded back (col2im) by k*k slice-adds into a padded
     buffer in (i, j) order, then copied into channels-last memory, the layout
-    the forward output has: numpy's reductions over it (BatchNorm, bias) sum
-    in memory order, so the layout fixes their rounding. Backward computes dw
-    and dx only for inputs that require grad.
+    the forward output has: the channel sums over it (BatchNorm, bias) add in
+    memory order, so the layout fixes their rounding, and einsum keeps it
+    (``_channel_sum``). Backward computes dw and dx only for inputs that
+    require grad.
 
     The calling thread and the pool split the blocks when each thread's
     share is worth the dispatch. A block never splits a GEMM's reduction, so it computes
@@ -570,7 +600,7 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
         out = [_each(dx_block, dx_blocks, split and dx is not None,
                      first=dw if w.requires_grad else None)]
         if b is not None:
-            out.append(g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
+            out.append(_channel_sum(g) if b.requires_grad else None)
         if dx is None:
             return out + [None] * len(inputs)
         return out + np.split(dx.transpose(0, 3, 1, 2), np.cumsum(chans)[:-1], axis=1)
@@ -623,7 +653,9 @@ class BatchNorm2d:
     takes the branch from the sign of the node's own output, which its
     consumer keeps anyway. The step keeps the input (a parent) and the
     per-channel mean and inverse std, and backward recomputes the normalized
-    input from them, by the forward's own ops, instead of keeping it.
+    input from them, by the forward's own ops, instead of keeping it. On
+    channels-last arrays, as conv2d makes them, the ops run on [B*H, W*C] rows
+    (``_bn_frame``) and the sums through einsum, with the same bits.
     """
 
     eps, momentum = 1e-5, 0.1
@@ -643,42 +675,55 @@ class BatchNorm2d:
         if x.data.shape[1] != self.channels:
             raise ValueError(f"batchnorm expects {self.channels} channels, got {x.data.shape[1]}")
         gamma, beta = self.gamma, self.beta
-        c = (1, self.channels, 1, 1)
+        N = x.data.size // self.channels
+        view, chan, unview = _bn_frame(x.data)
+        if not train and self.num_batches == 0:
+            raise RuntimeError("batchnorm eval mode before any running statistics exist")
+
+        def channel_mean(a):  # np.mean's own division of the sums
+            s = _channel_sum(a)
+            return np.true_divide(s, np.intp(N), out=s, casting="unsafe")
+        # eval: the object itself; a later train-mode forward rebinds the attribute
+        mean = channel_mean(x.data) if train else self.running_mean
+        diff = view(x.data) - chan(mean)
+        var = channel_mean(unview(diff * diff)) if train else self.running_var
         if train:
-            mean = x.data.mean(axis=(0, 2, 3), dtype=np.float32)
-            diff = x.data - mean.reshape(c)
-            var = np.mean(diff * diff, axis=(0, 2, 3), dtype=np.float32)
             m = DTYPE(self.momentum)
             self.running_mean = (1 - m) * self.running_mean + m * mean
             self.running_var = (1 - m) * self.running_var + m * var
             self.num_batches += 1
-        else:
-            if self.num_batches == 0:
-                raise RuntimeError("batchnorm eval mode before any running statistics exist")
-            # the object itself: a later train-mode forward rebinds the attribute
-            mean = self.running_mean
-            diff = x.data - mean.reshape(c)
-            var = self.running_var
         invstd = 1.0 / np.sqrt(var + DTYPE(self.eps))
-        y = gamma.data.reshape(c) * (diff * invstd.reshape(c)) + beta.data.reshape(c)
+        y = chan(gamma.data) * (diff * chan(invstd)) + chan(beta.data)
         leak = DTYPE(self.leak)
         np.maximum(y, leak * y, out=y)
-        N = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+        y = unview(y)
 
         def grads(g):
             # yields in parent order: dbeta, dgamma, dx (only if x needs it)
-            g = np.where(y > 0, g, leak * g)
-            xhat = (x.data - mean.reshape(c)) * invstd.reshape(c)
-            yield g.sum(axis=(0, 2, 3))
-            yield (g * xhat).sum(axis=(0, 2, 3))
+            view, chan, unview = _bn_frame(x.data, y, g)
+            g = np.where(view(y) > 0, view(g), leak * view(g))
+            xhat = (view(x.data) - chan(mean)) * chan(invstd)
+            yield _channel_sum(unview(g))
+            yield _channel_sum(unview(g * xhat))
             if not x.requires_grad:
                 return
             if not train:  # the statistics are constants
-                yield g * (gamma.data.reshape(c) * invstd.reshape(c))
+                yield unview(g * (chan(gamma.data) * chan(invstd)))
                 return
-            dxhat = g * gamma.data.reshape(c)
-            s1 = dxhat.sum(axis=(0, 2, 3)).reshape(c)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(c)
-            yield ((invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE, copy=False)
+            dxhat = g * chan(gamma.data)
+            s1 = chan(_channel_sum(unview(dxhat)))
+            s2 = chan(_channel_sum(unview(dxhat * xhat)))
+            yield unview(((chan(invstd) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE, copy=False))
 
         return _node(y, (beta, gamma, x), grads)
+
+
+def _bn_frame(*arrays):
+    """``(view, per_channel, unview)`` for BatchNorm's elementwise work on
+    ``arrays``: [B*H, W*C] rows with vectors tiled W times if all of them are
+    channels-last, else the 4-D arrays with [1,C,1,1] vectors."""
+    B, C, H, W = arrays[0].shape
+    if not all(map(_channels_last, arrays)):
+        return (lambda a: a), (lambda v: v.reshape(1, C, 1, 1)), (lambda a: a)
+    return (lambda a: a.transpose(0, 2, 3, 1).reshape(B * H, W * C), lambda v: np.tile(v, W),
+            lambda a: a.reshape(B, H, W, C).transpose(0, 3, 1, 2))

@@ -81,8 +81,6 @@ def default_config() -> Config:
 
 def parse_config(path) -> Config:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser()
     try:
         cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
@@ -90,6 +88,8 @@ def parse_config(path) -> Config:
         raise ConfigError(str(e)) from e
     except UnicodeDecodeError as e:
         raise ConfigError(f"config file {path} is not UTF-8 ({e})") from e
+    except OSError as e:
+        raise ConfigError(f"config file {path} cannot be read ({e.strerror})") from e
     cfg = default_config()
     for section in cp.sections():
         if section not in _SECTIONS:

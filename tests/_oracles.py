@@ -92,6 +92,43 @@ def batchnorm_train_loop(x, gamma, beta, eps):
     return out, np.array(means), np.array(variances)
 
 
+def batchnorm_4d(x, gamma, beta, running_mean, running_var, leak, train, g,
+                 eps=1e-5, momentum=0.1):
+    """BatchNorm2d's float32 forward and backward written over the 4-D arrays:
+    numpy's reductions and [1,C,1,1] vectors, in the engine's op order. With
+    the output gradient ``g``, returns y, the running mean and variance after
+    the step, dbeta, dgamma and dx."""
+    c = (1, x.shape[1], 1, 1)
+    if train:
+        mean = x.mean(axis=(0, 2, 3), dtype=np.float32)
+        diff = x - mean.reshape(c)
+        var = np.mean(diff * diff, axis=(0, 2, 3), dtype=np.float32)
+        m = np.float32(momentum)
+        running_mean = (1 - m) * running_mean + m * mean
+        running_var = (1 - m) * running_var + m * var
+    else:
+        mean = running_mean
+        diff = x - mean.reshape(c)
+        var = running_var
+    invstd = 1.0 / np.sqrt(var + np.float32(eps))
+    y = gamma.reshape(c) * (diff * invstd.reshape(c)) + beta.reshape(c)
+    leak = np.float32(leak)
+    np.maximum(y, leak * y, out=y)
+    N = x.shape[0] * x.shape[2] * x.shape[3]
+    g = np.where(y > 0, g, leak * g)
+    xhat = (x - mean.reshape(c)) * invstd.reshape(c)
+    dbeta = g.sum(axis=(0, 2, 3))
+    dgamma = (g * xhat).sum(axis=(0, 2, 3))
+    if train:
+        dxhat = g * gamma.reshape(c)
+        s1 = dxhat.sum(axis=(0, 2, 3)).reshape(c)
+        s2 = (dxhat * xhat).sum(axis=(0, 2, 3)).reshape(c)
+        dx = ((invstd.reshape(c) / N) * (N * dxhat - s1 - xhat * s2)).astype(np.float32, copy=False)
+    else:
+        dx = g * (gamma.reshape(c) * invstd.reshape(c))
+    return y, running_mean, running_var, dbeta, dgamma, dx
+
+
 def bn_streaming_stats(batches, momentum):
     """Running-stat trajectory: r <- (1-m) r + m batch_stat, float64.
 

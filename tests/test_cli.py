@@ -146,6 +146,13 @@ class TestConfigErrors:
     def test_missing_config_file_exits_2(self, tmp_path):
         assert self.run_gen(tmp_path / "absent.cfg", tmp_path) == 2
 
+    def test_config_path_naming_a_directory_exits_2(self, tmp_path, capsys):
+        folder = tmp_path / "cfg.d"
+        folder.mkdir()
+        assert self.run_gen(folder, tmp_path) == 2
+        assert str(folder) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_not_utf8_exits_2_naming_file(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes("[data]\n# caf\xe9\nn_cases = 10\n".encode("latin-1"))

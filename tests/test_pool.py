@@ -1,7 +1,9 @@
-"""The worker pool keeps every bit: conv2d's slice blocks against one GEMM
-over the batch, concurrent head segments against a serial replay, the
-golden fit digests at pool width 1 and 2, and public calls on the main
-thread only. Each test forces every split, so toy sizes take the pool."""
+"""The worker pool and the fast paths keep every bit: conv2d's slice blocks
+against one GEMM over the batch, concurrent head segments against a serial
+replay, the golden fit digests at pool width 1 and 2, and public calls on
+the main thread only. Each test forces every split, so toy sizes take the
+pool. The per-channel sums and softmax folds are swept over layouts against
+numpy's reductions, and BatchNorm against its 4-D expressions."""
 
 import importlib
 import inspect
@@ -19,6 +21,7 @@ import segadapt
 from segadapt import autodiff as ad
 from segadapt.config import AdaptConfig
 from segadapt.estimators import MultiHeadAdapter
+from _oracles import batchnorm_4d
 from test_autodiff import RELEASE_DIGEST, release_graph
 from test_estimators import GOLDEN, fit_digest, pretrained, toy_data  # noqa: F401 (fixtures)
 
@@ -181,6 +184,111 @@ def test_weight_gradient_builds_no_column_matrix(monkeypatch):
             tracemalloc.stop()
     assert w.grad.shape == (8, 16, 3, 3)
     assert peak < 4 * x.data.nbytes, peak / x.data.nbytes
+
+
+# channel counts and (B, H, W) sizes swept for the per-channel layout rules:
+# einsum and the channel folds on one side of each rule, numpy's reductions
+# on the other, up to batch 10 at 128x128 (163,840 pixels)
+SWEEP_C = [1, 2, 3, 7, 8, 9, 16, 32]
+SWEEP_SIZES = [(2, 3, 5), (1, 1, 1), (10, 16, 16), (10, 64, 64), (10, 128, 128)]
+LAYOUTS = ["channels-last", "C-contiguous", "batch slice", "channel slice", "column slice"]
+
+
+def laid_out(a, layout):
+    """The [B,C,H,W] values ``a`` in memory of the given layout: C-contiguous,
+    channels-last, or a slice of a larger channels-last array (of its batch,
+    still channels-last; of its channels or of its columns, not)."""
+    if layout == "C-contiguous":
+        return np.ascontiguousarray(a)
+    B, C, H, W = a.shape
+    shape, cut = {"channels-last": ((B, H, W, C), np.s_[:]),
+                  "batch slice": ((B + 1, H, W, C), np.s_[1:]),
+                  "channel slice": ((B, H, W, C + 2), np.s_[..., 1:-1]),
+                  "column slice": ((B, H, 2 * W, C), np.s_[:, :, ::2])}[layout]
+    view = np.empty(shape, np.float32)[cut]
+    view[...] = a.transpose(0, 2, 3, 1)
+    return view.transpose(0, 3, 1, 2)
+
+
+def sweep_values(shape, seed):
+    """Normals at several scales, then 5% of them replaced by +-0, NaN or
+    +-inf; channel 0 is all -0.0 and channel 1 mixes +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)).astype(np.float32)
+    plain = a.copy()
+    pick = rng.random(shape) < 0.05
+    a[pick] = rng.choice(np.array([0.0, -0.0, np.nan, np.inf, -np.inf], np.float32), pick.sum())
+    a[:, 0] = -0.0
+    if shape[1] > 1:
+        a[:, 1] = rng.choice(np.array([0.0, -0.0], np.float32), a[:, 1].shape)
+    return plain, a
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("C", SWEEP_C)
+def test_channel_sums_match_numpy_on_every_layout(C, layout):
+    for B, H, W in SWEEP_SIZES:
+        for a in sweep_values((B, C, H, W), C * 100 + H):
+            x = laid_out(a, layout)
+            if C > 1 and B * H * W > 1:  # einsum goes exactly where the rule says
+                assert ad._channels_last(x) == (layout in ("channels-last", "batch slice"))
+            with np.errstate(invalid="ignore"):
+                ours, ref = ad._channel_sum(x), x.sum(axis=(0, 2, 3), dtype=np.float32)
+            # from 8 channels on, a sum that meets NaNs of both signs may end on
+            # either (einsum and numpy add the operands the other way round); a
+            # sum that is not NaN has the same bits
+            nan = np.isnan(ref)
+            assert np.array_equal(np.isnan(ours), nan), (B, H, W)
+            assert same_bytes(ours[~nan], ref[~nan]), (B, H, W)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("C", SWEEP_C)
+def test_channel_folds_match_numpy_on_every_layout(C, layout):
+    for B, H, W in SWEEP_SIZES:
+        for a in sweep_values((B, C, H, W), C * 100 + H + 1):
+            x = laid_out(a, layout)
+            with np.errstate(invalid="ignore"):
+                assert same_bytes(ad._channel_fold(np.maximum, x), x.max(axis=1, keepdims=True))
+                assert same_bytes(ad._channel_fold(np.add, x), x.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("g_layout", ["channels-last", "C-contiguous"])
+@pytest.mark.parametrize("leak", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_matches_its_4d_expressions(pool, width, train, leak, g_layout):
+    """Two heads, each a BatchNorm in its own segment (replayed concurrently
+    at width 2), one on a channels-last input as conv2d makes it and one on a
+    C-contiguous input: output, running statistics, dx, dgamma and dbeta
+    against ``batchnorm_4d``, bit for bit, with the output gradient in
+    ``g_layout``."""
+    tasks = pool(width)
+    rng = np.random.default_rng(int(train) * 10 + int(leak * 100))
+    heads = []
+    for x_layout in ("channels-last", "C-contiguous"):
+        x, g = (laid_out(rng.standard_normal((10, 8, 16, 16)).astype(np.float32) * 3 + 1, layout)
+                for layout in (x_layout, g_layout))
+        bn = ad.BatchNorm2d(8, leak=leak)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, 8)
+        bn.beta.data[:] = rng.uniform(-0.5, 0.5, 8)
+        bn.forward(ad.Tensor(laid_out(rng.standard_normal((10, 8, 16, 16)).astype(np.float32), x_layout)),
+                   train=True)
+        ref = batchnorm_4d(x, bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var,
+                           leak, train, g)
+        heads.append((ad.Tensor(x, requires_grad=True), g, bn, ref))
+    ys, seeds = [], []
+    with ad.Tape() as tape:
+        for x, g, bn, _ in heads:
+            with ad.Segment():  # y's gradient is g
+                ys.append(bn.forward(x, train))
+                seeds.append(ad._node(np.zeros((), np.float32), (ys[-1],), lambda _, g=g: (g,)))
+        tape.backward(ad.add(*seeds))
+    for (x, g, bn, ref), y in zip(heads, ys):
+        for ours, theirs in zip((y.data, bn.running_mean, bn.running_var, bn.beta.grad,
+                                 bn.gamma.grad, x.grad), ref):
+            assert same_bytes(ours, theirs)
+    assert bool(tasks) == (width == 2)
 
 
 def test_a_segment_may_not_read_a_tensor_made_outside_it():
