@@ -20,9 +20,10 @@ Byte layout, little-endian throughout:
 
 Entries carry parameters and BN running statistics (``<layer>.running_mean``,
 ``.running_var``, ``.num_batches``). Loading verifies magic, version, CRC,
-the header (UTF-8 JSON, a valid architecture, num_heads in 1..MAX_HEADS) and
-entry shapes against the declared architecture; every failure is a
-``CheckpointError``.
+the header (UTF-8 JSON, a valid architecture, num_heads in 1..MAX_HEADS), the
+header fields that size arrays against the entries before a model is built
+from them, and entry shapes against the declared architecture; every failure
+is a ``CheckpointError``.
 """
 
 from __future__ import annotations
@@ -150,6 +151,29 @@ def read_entries(path) -> tuple[dict, dict[str, np.ndarray]]:
     return header, arrays
 
 
+def _check_sizes(arch: ArchConfig, arrays: dict[str, np.ndarray]) -> None:
+    """The header fields that size arrays must agree with the entries in the
+    file before any array is sized from them: every level owns entries, so
+    ``levels`` stays below the entry count, and three entries pin the rest,
+    the first conv (``base_channels``, ``in_channels``, ``kernel``), the
+    bottleneck conv (``2**levels``) and head 0's output conv (``num_classes``)."""
+    sizing = ("in_channels", "num_classes", "levels", "base_channels", "kernel")
+    if any(type(getattr(arch, f)) is not int for f in sizing):
+        raise CheckpointError(f"checkpoint header fields {', '.join(sizing)} must be integers")
+    if arch.levels >= len(arrays):
+        raise CheckpointError(f"checkpoint header levels {arch.levels} needs more than "
+                              f"the file's {len(arrays)} entries")
+    k, base, bottom = arch.kernel, arch.base_channels, arch.bottleneck_channels
+    for name, shape in (("enc.l0.c1.w", (base, arch.in_channels, k, k)),
+                        ("enc.bottom.c2.w", (bottom, bottom, k, k)),
+                        ("head0.out.w", (arch.num_classes, base, 1, 1))):
+        if name not in arrays:
+            raise CheckpointError(f"checkpoint missing entry {name!r}")
+        if arrays[name].shape != shape:
+            raise CheckpointError(f"checkpoint header architecture needs {name!r} of shape "
+                                  f"{shape}, the file holds {arrays[name].shape}")
+
+
 def load_checkpoint(path) -> tuple[SegModel, dict]:
     """Rebuild a SegModel; returns (model, header)."""
     header, arrays = read_entries(path)
@@ -160,6 +184,7 @@ def load_checkpoint(path) -> tuple[SegModel, dict]:
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
     if not 1 <= num_heads <= MAX_HEADS:
         raise CheckpointError(f"checkpoint num_heads must be in 1..{MAX_HEADS}, got {num_heads}")
+    _check_sizes(arch, arrays)
 
     rng = np.random.default_rng(0)  # placeholder init, overwritten below
     model = SegModel(arch, rng)

@@ -168,35 +168,37 @@ def cmd_adapt(args, cfg: Config):
             ablate = check_ablate(token.strip() for token in args.ablate.split(","))
         except ValueError as e:
             raise ConfigError(f"--ablate: {e}") from None
+    if args.dump_maps and (args.method not in ("upl", "selftrain") or "TFS" in ablate
+                           or cfg.adapt.epochs == 0):
+        raise ConfigError("--dump-maps needs a run that builds pseudo labels: --method upl "
+                          "without TFS ablated, or selftrain, and [adapt] epochs >= 1")
     est, train, val, fit_set, inputs = _build(args.method, args.checkpoint, args.data, cfg,
                                               args.seed, ablate)
     if args.dump_maps:  # a file in the way fails here, before --out exists
         Path(args.dump_maps).mkdir(parents=True, exist_ok=True)
+        rows = dict.fromkeys(train.case_slices(0).tolist())  # each epoch overwrites the last
+
+        def keep_rows(idx, bundle):
+            for r, i in enumerate(idx):
+                if i in rows:
+                    rows[i] = bundle.pseudo_onehot[r].argmax(0), bundle.reliability[r].copy()
+        est.on_bundle = keep_rows
     out, outputs = _fit_and_save(args, est, fit_set, val, "adapted.uplc",
                                  f"adapt {args.method}")
     if args.dump_maps:
-        outputs += _dump_maps(Path(args.dump_maps), est, train, cfg)
+        outputs += _dump_maps(Path(args.dump_maps), rows.values(), est.model_.num_classes)
     print(f"method {args.method}: {_fit_summary(est)}")
     return out, f"adapt:{args.method}", inputs, outputs
 
 
-def _dump_maps(dump_dir: Path, est, train: LabeledSet, cfg: Config) -> list:
-    """PGM snapshots of the fitted model's pseudo labels and reliability on
-    the first training case."""
-    model = est.model_
-    imgs = train.images[train.case_slices(0)]
-    if model.num_heads > 1:
-        rng = named_stream(est.seed, "dump")
-        labels, probs = infer_ensemble(model, imgs, rng, cleanup=cfg.adapt.cleanup)
-    else:
-        labels, probs = infer_single(model, imgs, cleanup=cfg.adapt.cleanup)
-    rel = probs.max(axis=1) > cfg.adapt.tau
+def _dump_maps(dump_dir: Path, rows, num_classes: int) -> list:
+    """PGM pairs of ``(labels, reliability)`` rows, in order."""
     outputs = []
-    for i in range(len(imgs)):
+    for i, (labels, rel) in enumerate(rows):
         lp = dump_dir / f"pseudo_{i:03d}.pgm"
         rp = dump_dir / f"reliability_{i:03d}.pgm"
-        export_label_pgm(lp, labels[i], model.num_classes)
-        export_reliability_pgm(rp, rel[i])
+        export_label_pgm(lp, labels, num_classes)
+        export_reliability_pgm(rp, rel)
         outputs += [lp, rp]
     return outputs
 

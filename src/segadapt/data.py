@@ -18,7 +18,7 @@ File layout, little-endian:
 Labels are always stored; unlabeled use means dropping them in memory.
 Images must be square (transform family acts on square frames only).
 Loading rejects a file with any non-finite pixel, and every set rejects a
-case that owns no slices.
+case that owns no slices and slices without a channel or pixel.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class UnlabeledSet:
         self.case_index = np.asarray(self.case_index, dtype=np.int32)
         if self.images.ndim != 4:
             raise DatasetError(f"images must be [N,C,H,W], got shape {self.images.shape}")
+        if 0 in self.images.shape[1:]:
+            raise DatasetError(f"images need C, H and W >= 1, got shape {self.images.shape}")
         if self.images.shape[2] != self.images.shape[3]:
             raise DatasetError("images must be square")
         if len(self.case_index) != len(self.images):

@@ -21,7 +21,10 @@ the update step:
 - ``FineTuner``: supervised Dice training from a pre-trained model.
 
 Fitted attributes use the trailing-underscore convention: ``model_``,
-``log_``, ``best_epoch_``, ``best_val_dice_``.
+``log_``, ``best_epoch_``, ``best_val_dice_``. Two hooks, ``None`` unless
+set: ``on_epoch`` gets each epoch's record, and ``on_bundle`` gets the batch
+indices and the pseudo-label bundle of every step that builds one
+(``MultiHeadAdapter`` unless TFS is ablated, and ``SelfTrainAdapter``).
 """
 
 from __future__ import annotations
@@ -129,15 +132,6 @@ def _check_finite(value: float, **ctx):
         raise NumericFailure(f"non-finite loss {value!r}", dict(ctx, loss=float(value)))
 
 
-def _pseudo_label(prob: np.ndarray, tau: float | None, cleanup: bool, **ctx):
-    """Pseudo labels from the model's own prediction. A non-finite value there
-    fails the run like a non-finite loss, where ``make_pseudo_label`` would
-    reject it as bad input."""
-    if not np.isfinite(prob).all():
-        raise NumericFailure("non-finite prediction", dict(ctx, loss=float("nan")))
-    return make_pseudo_label(prob, tau, cleanup=cleanup)
-
-
 def validation_dice(predict_fn, val: LabeledSet, num_classes: int) -> tuple[float, list]:
     """Mean-over-classes of per-class mean-over-cases foreground Dice."""
     per_class = {c: [] for c in range(1, num_classes)}
@@ -155,9 +149,21 @@ class SegmentationEstimator:
     optimizer steps."""
 
     on_epoch = None  # called with each epoch's EpochRecord and cfg.epochs, if set
+    on_bundle = None  # called with each step's batch indices and PseudoLabelBundle, if set
 
     def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int):
         self.model, self.cfg, self.seed = model, cfg, seed
+
+    def _pseudo_label(self, idx, prob: np.ndarray, tau: float | None, **ctx):
+        """Pseudo labels from the model's own prediction on the batch ``idx``,
+        handed to ``on_bundle``. A non-finite value there fails the run like a
+        non-finite loss, where ``make_pseudo_label`` would reject it as bad input."""
+        if not np.isfinite(prob).all():
+            raise NumericFailure("non-finite prediction", dict(ctx, loss=float("nan")))
+        bundle = make_pseudo_label(prob, tau, cleanup=self.cfg.cleanup)
+        if self.on_bundle is not None:
+            self.on_bundle(idx, bundle)
+        return bundle
 
     def _source_copy(self) -> SegModel:
         """A copy of the source model, head dropout off: only ``MultiHeadAdapter``
@@ -289,8 +295,8 @@ class MultiHeadAdapter(SegmentationEstimator):
             if "TFS" not in ablate:
                 mean = np.stack([p.data for p in heads_pass(x)]).mean(axis=0,
                                                                        dtype=np.float32)
-                bundle = _pseudo_label(mean, tau, cfg.cleanup, stage="adapt", epoch=epoch,
-                                       step=step)
+                bundle = self._pseudo_label(idx, mean, tau, stage="adapt", epoch=epoch,
+                                            step=step)
                 terms["reliable_fraction"] = bundle.reliable_fraction
             with Tape() as tape:
                 probs = heads_pass(x)
@@ -379,8 +385,8 @@ class SelfTrainAdapter(SegmentationEstimator):
         def step_fn(idx, epoch, step):
             with Tape() as tape:
                 p = work.forward_head(train.images[idx], 0, train=True)
-                bundle = _pseudo_label(p.data, None, cfg.cleanup, stage="selftrain",
-                                       epoch=epoch, step=step)
+                bundle = self._pseudo_label(idx, p.data, None, stage="selftrain",
+                                            epoch=epoch, step=step)
                 sup = dice_loss([p], bundle.pseudo_onehot, bundle.reliability)
                 ment = mean_prediction_entropy([p])
                 loss = sup + ment * cfg.entropy_weight

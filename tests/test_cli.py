@@ -17,13 +17,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from segadapt import cli
+from segadapt import cli, estimators
 from segadapt.checkpoint import load_checkpoint, read_entries, save_checkpoint
 from segadapt.config import default_config, parse_config
 from segadapt.data import LabeledSet, load_dataset, save_dataset
 from segadapt.estimators import (FineTuner, MultiHeadAdapter, PtbnAdapter, SelfTrainAdapter,
                                  SourceTrainer, TentAdapter)
-from segadapt.inference import infer_single
 from segadapt.pseudolabel import cleanup_label_map
 
 MINI_CFG = """\
@@ -559,37 +558,89 @@ class TestAdapt:
         assert {"epoch", "step", "loss"} <= set(dump)
         assert "nan_dump.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method,cfg_text", [
-        ("ptbn", MINI_CFG + "cleanup = false\n"),
-        ("upl", MINI_CFG.replace("epochs = 1\n", "epochs = 2\n")),
-    ], ids=["ptbn-no-cleanup", "upl-2-epochs"])
-    def test_dump_maps_writes_pgm_pairs(self, ws, tmp_path, method, cfg_text):
+    @pytest.mark.parametrize("method,extra,cfg_text", [
+        ("upl", [], MINI_CFG.replace("epochs = 1\n", "epochs = 2\n")),
+        ("upl", [], MINI_CFG.replace("epochs = 1\n", "epochs = 2\ncleanup = false\n")),
+        ("upl", ["--ablate", "M"], MINI_CFG),
+        ("selftrain", [], MINI_CFG.replace("epochs = 1\n", "epochs = 2\n")),
+    ], ids=["upl-2-epochs", "upl-2-epochs-no-cleanup", "upl-ablate-M", "selftrain-2-epochs"])
+    def test_dump_maps_writes_pgm_pairs(self, ws, tmp_path, monkeypatch, method, extra,
+                                        cfg_text):
+        """The PGM pairs are the labels and reliability that training's last
+        epoch built for the first training case, recorded here by wrapping
+        the estimators' batch iterator and pseudo-label builder."""
+        batches, bundles, cleanups = [], [], set()
+
+        def record_batches(*args):
+            for idx in real_batches(*args):
+                batches.append(idx)
+                yield idx
+
+        def record_bundle(*args, cleanup):
+            cleanups.add(cleanup)
+            bundles.append(real_bundle(*args, cleanup=cleanup))
+            return bundles[-1]
+
+        real_batches, real_bundle = estimators.iter_batches, estimators.make_pseudo_label
+        monkeypatch.setattr(estimators, "iter_batches", record_batches)
+        monkeypatch.setattr(estimators, "make_pseudo_label", record_bundle)
         cfg = tmp_path / "dump.cfg"
         cfg.write_text(cfg_text)
         out, maps = tmp_path / "o", tmp_path / "maps"
         rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
                        "--config", str(cfg), "--method", method,
-                       "--checkpoint", str(ws.ckpt), "--dump-maps", str(maps)])
+                       "--checkpoint", str(ws.ckpt), "--dump-maps", str(maps)] + extra)
         assert rc == 0
+        cleanup = parse_config(cfg).adapt.cleanup
+        assert cleanups == {cleanup}
         train = load_dataset(ws.data / "target_train.upld")
-        n = len(train.case_slices(0))
+        case0 = train.case_slices(0)
+        assert len(bundles) == len(batches)  # one bundle per step
+        last = {}
+        for idx, bundle in zip(batches, bundles):  # later epochs overwrite earlier ones
+            for r, i in enumerate(idx):
+                if i in case0:
+                    last[int(i)] = (bundle.pseudo_onehot[r].argmax(axis=0), bundle.reliability[r])
+        if not cleanup:  # labels that cleanup would change reach the dump
+            assert any(not np.array_equal(cleanup_label_map(lab, 3), lab)
+                       for lab, _ in last.values())
         pgms = sorted(maps.iterdir())
-        # one pair per slice, written once from the fitted model
         assert [p.name for p in pgms] == (
-            [f"pseudo_{i:03d}.pgm" for i in range(n)]
-            + [f"reliability_{i:03d}.pgm" for i in range(n)])
-        for p in pgms:
-            assert p.read_bytes().startswith(b"P5\n")
+            [f"pseudo_{i:03d}.pgm" for i in range(len(case0))]
+            + [f"reliability_{i:03d}.pgm" for i in range(len(case0))])
         listed = set(read_manifest(out)["outputs"])
         assert {str(p) for p in pgms} <= listed
-        if method == "ptbn":  # [adapt] cleanup = false reaches the single-head dump
-            model, _ = load_checkpoint(out / "adapted.uplc")
-            raw, _ = infer_single(model, train.images[train.case_slices(0)], cleanup=False)
-            assert not np.array_equal(cleanup_label_map(raw, model.num_classes), raw)
-            scale = 255 // (model.num_classes - 1)
-            for i, lab in enumerate(raw):
-                pixels = (maps / f"pseudo_{i:03d}.pgm").read_bytes()[-lab.size:]
-                assert pixels == (lab * scale).astype(np.uint8).tobytes(), i
+        scale = 255 // 2  # 3 classes
+        for i, s in enumerate(case0):
+            labels, rel = last[int(s)]
+            pseudo = (maps / f"pseudo_{i:03d}.pgm").read_bytes()
+            reliability = (maps / f"reliability_{i:03d}.pgm").read_bytes()
+            assert pseudo == b"P5\n32 32\n255\n" + (labels * scale).astype(np.uint8).tobytes()
+            assert reliability == b"P5\n32 32\n255\n" + (rel * 255).astype(np.uint8).tobytes()
+            if method == "selftrain" or extra:  # no reliability mask in training
+                assert set(reliability[-rel.size:]) == {255}, i
+
+    @pytest.mark.parametrize("method,extra,cfg_text", [
+        ("tent", [], MINI_CFG),
+        ("ptbn", [], MINI_CFG),
+        ("finetune-train", [], MINI_CFG),
+        ("finetune-valid", [], MINI_CFG),
+        ("target-only", [], MINI_CFG),
+        ("upl", ["--ablate", "TFS"], MINI_CFG),
+        ("upl", [], MINI_CFG.replace("epochs = 1\n", "epochs = 0\n")),
+    ], ids=["tent", "ptbn", "finetune-train", "finetune-valid", "target-only",
+            "upl-ablate-TFS", "upl-0-epochs"])
+    def test_dump_maps_for_a_run_without_pseudo_labels_exits_2(self, ws, tmp_path, capsys,
+                                                              method, extra, cfg_text):
+        cfg = tmp_path / "dump.cfg"
+        cfg.write_text(cfg_text)
+        out, maps = tmp_path / "o", tmp_path / "maps"
+        rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
+                       "--config", str(cfg), "--method", method,
+                       "--checkpoint", str(ws.ckpt), "--dump-maps", str(maps)] + extra)
+        assert rc == 2
+        assert "--dump-maps" in capsys.readouterr().err
+        assert not out.exists() and not maps.exists()
 
     def test_dump_maps_onto_a_file_exits_3_before_training(self, ws, tmp_path, capsys):
         blocker = tmp_path / "maps"
@@ -948,6 +999,42 @@ class TestEmptyCase:
         rc = cli.main(argv + ["--config", str(ws.cfg)])
         assert rc == 3
         assert "case 'ghost' owns no slices" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def zero_size_copy(src, dst):
+    """Copy of the dataset file ``src`` whose slices are 0x0: its header,
+    case table and case index, no pixels or labels (``save_dataset`` refuses
+    to write one)."""
+    blob = src.read_bytes()
+    n, c = struct.unpack_from("<II", blob, 6)
+    pos = 26
+    for _ in range(struct.unpack_from("<I", blob, 22)[0]):
+        pos += 2 + struct.unpack_from("<H", blob, pos)[0]
+    dst.write_bytes(blob[:6] + struct.pack("<IIII", n, c, 0, 0) + blob[22:pos + 4 * n])
+
+
+class TestZeroSizeSlices:
+    @pytest.mark.parametrize("command,named", [
+        ("pretrain", "source_train.upld"),
+        ("adapt-upl", "target_train.upld"),
+        ("eval", "target_test.upld"),
+    ])
+    def test_exits_3_before_any_output(self, ws, tmp_path, capsys, command, named):
+        data, out = tmp_path / "data", tmp_path / "o"
+        data.mkdir()
+        for name in DATA_FILES:
+            (data / name).write_bytes((ws.data / name).read_bytes())
+        zero_size_copy(ws.data / named, data / named)
+        ckpt = ["--checkpoint", str(ws.ckpt)]
+        argv = {
+            "pretrain": ["pretrain", "--data", str(data), "--out", str(out)],
+            "adapt-upl": ["adapt", "--data", str(data), "--out", str(out)] + ckpt,
+            "eval": ["eval", "--data", str(data / named), "--out", str(out / "r.csv")] + ckpt,
+        }[command]
+        rc = cli.main(argv + ["--config", str(ws.cfg)])
+        assert rc == 3
+        assert "C, H and W" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -145,6 +145,19 @@ class TestContainers:
         with pytest.raises(DatasetError, match="case 'c1' owns no slices"):
             UnlabeledSet(np.zeros((2, 1, 4, 4), np.float32), [0, 2], ["c0", "c1", "c2"])
 
+    @pytest.mark.parametrize("shape", [(4, 1, 0, 0), (4, 1, 0, 4), (4, 0, 4, 4)])
+    def test_slices_without_a_channel_or_pixel_are_rejected(self, shape, tmp_path):
+        with pytest.raises(DatasetError, match="C, H and W"):
+            UnlabeledSet(np.zeros(shape, np.float32), [0, 0, 1, 1], ["a", "b"])
+        # a file header may declare them too: 4 such slices, one case, its index
+        blob = (b"UPLD" + struct.pack("<HIIIII", 1, *shape, 1) + struct.pack("<H", 1) + b"a"
+                + np.zeros(4, "<u4").tobytes() + bytes(4 * 4 * int(np.prod(shape[1:]))
+                                                       + 4 * shape[2] * shape[3]))
+        path = tmp_path / "zero.upld"
+        path.write_bytes(blob)
+        with pytest.raises(DatasetError, match="C, H and W"):
+            load_dataset(path)
+
     def test_case_grouping(self):
         ds = self.make_set()
         assert len(ds) == 5 and ds.n_cases == 2

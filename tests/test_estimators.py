@@ -146,6 +146,31 @@ def test_golden_fit_digest(name, toy_data, pretrained):
     assert fit_digest(fitted) == digest, name
 
 
+@pytest.mark.parametrize("name", [n for n in sorted(GOLDEN)
+                                  if n.startswith("upl") or n == "selftrain"])
+def test_golden_fit_digest_with_a_recording_bundle_hook(name, toy_data, pretrained):
+    """``on_bundle`` sees every pseudo-label bundle a fit builds, one per
+    step, and leaves the fit's digest as it is."""
+    make, labeled, digest = GOLDEN[name]
+    train, val = toy_data
+    fitter, seen = make(pretrained), []
+    fitter.on_bundle = lambda idx, bundle: seen.append((idx.copy(), bundle))
+    fitted = fitter.fit(train.drop_labels(), val)
+    assert fit_digest(fitted) == digest, name
+    if "TFS" in getattr(fitter, "ablate", ()):
+        assert seen == []
+        return
+    epochs = fitter.cfg.epochs
+    steps = len(seen) // epochs
+    assert len(seen) == epochs * steps
+    for e, rec in enumerate(fitted.log_.records):
+        epoch = seen[e * steps : (e + 1) * steps]
+        assert sorted(np.concatenate([idx for idx, _ in epoch])) == list(range(len(train)))
+        if rec.reliable_fraction is not None:  # the log's mean is the bundles' mean
+            assert rec.reliable_fraction == float(np.mean([b.reliable_fraction
+                                                           for _, b in epoch]))
+
+
 def test_constructors_declare_no_config_field():
     """Hyperparameters and their defaults live in config.py only, and a
     fitted estimator exposes ``model_``, not a predict surface."""

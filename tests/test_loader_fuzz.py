@@ -6,7 +6,11 @@ so the damage reaches the parser behind the checksum.
 """
 
 import contextlib
+import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -14,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segadapt.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+import segadapt
+from segadapt.checkpoint import CheckpointError, load_checkpoint, read_entries, save_checkpoint
 from segadapt.data import DatasetError, LabeledSet, load_dataset, save_dataset
 from segadapt.model import ArchConfig, SegModel
 
@@ -121,3 +126,47 @@ def test_infinite_num_batches_is_a_checkpoint_error(files, tmp_path):
         struct.pack_into("<f", body, at + len(name) + 5, np.inf)
     with pytest.raises(CheckpointError, match="num_batches"):
         load_checkpoint(resealed_with(files, tmp_path, name, edit))
+
+
+# loads a checkpoint under a 3 GB address-space limit: a loader that sizes
+# arrays from the header alone fails here with MemoryError, not by taking
+# the machine's memory
+LOAD_LIMITED = """
+import resource, sys
+from segadapt.checkpoint import CheckpointError, load_checkpoint
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+try:
+    load_checkpoint(sys.argv[1])
+except CheckpointError as e:
+    print(e)
+    sys.exit(0)
+sys.exit("loaded")
+"""
+
+
+@pytest.mark.parametrize("field,value", [
+    ("in_channels", 2**31),
+    ("base_channels", 200000),
+    ("levels", 40),
+    ("levels", 2**62),
+    ("kernel", 20001),
+    ("num_classes", 2**31),
+    ("base_channels", 2.0),
+])
+def test_header_field_sizing_arrays_is_checked_against_the_entries(files, tmp_path,
+                                                                   field, value):
+    # the fixture has 1 level, 2 base channels, kernel 3 and 3 classes; each
+    # value would have the model allocate GBs, take 2**levels of a number of
+    # 2**62 bits, or fail on a float
+    header, _ = read_entries(files / "ok.uplc")
+    header["arch"][field] = value
+    hjson = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = (files / "ok.uplc").read_bytes()[:-4]
+    hlen = struct.unpack_from("<I", body, 6)[0]
+    bad = tmp_path / "bad.uplc"
+    bad.write_bytes(reseal(body[:6] + struct.pack("<I", len(hjson)) + hjson + body[10 + hlen:]))
+    src = os.path.dirname(os.path.dirname(segadapt.__file__))
+    run = subprocess.run([sys.executable, "-c", LOAD_LIMITED, str(bad)], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert "checkpoint header" in run.stdout
