@@ -34,12 +34,14 @@ is split only where the split cannot change a bit:
 So results are identical at any pool width, and to a serial replay.
 Per-channel work takes long inner loops only where numpy's bits stay: einsum
 for channel sums of channels-last arrays with C > 1, [B*H, W*C] rows for
-BatchNorm on them, and slice folds for softmax below 8 channels.
+BatchNorm on them, slice folds for softmax below 8 channels, and whole
+padded rows for conv2d's col2im.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -182,7 +184,7 @@ def _each(fn, items, split: bool = True, first=None):
 def _scratch(name: str, shape) -> np.ndarray:
     """This thread's reusable float32 buffer ``name``, viewed as ``shape``
     (contents undefined). Kept across calls, so a block loop faults no pages."""
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     buf = getattr(_local, name, None)
     if buf is None or buf.size < n:
         buf = np.empty(n, DTYPE)
@@ -502,13 +504,26 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
     ``dw[:, :, i, j]`` is ``(plane @ g2d.T).T`` with g2d = [Cout, B*H*W],
     so no 9x column matrix exists. At or below ``_MIN_OFFSET_GEMM``, or with
     a dimension of 1, BLAS would round differently: dw is then
-    ``g2d @ cols.T`` in one GEMM. The input gradient goes by slice blocks:
-    ``w2d.T @ g2d_blk``, folded back (col2im) by k*k slice-adds into a padded
-    buffer in (i, j) order, then copied into channels-last memory, the layout
-    the forward output has: the channel sums over it (BatchNorm, bias) add in
-    memory order, so the layout fixes their rounding, and einsum keeps it
-    (``_channel_sum``). Backward computes dw and dx only for inputs that
-    require grad.
+    ``g2d @ cols.T`` in one GEMM.
+
+    The input gradient goes by slice blocks on flat padded rows. g is copied
+    once into zeroed [Cout, B, Hp, Wp] frames (Hp = H + 2p, Wp = W + 2p),
+    each slice's pixels at the top left of its frame, and a block's
+    ``dcols = w2d.T @ gp_blk`` has a column per frame position. Kernel offset
+    (i, j) then adds its dcols row, for every channel, as one contiguous run
+    at offset i*Wp + j into a zeroed flat buffer (col2im), in (i, j) order;
+    dx is that buffer's interior, copied into channels-last memory, the
+    layout the forward output has: the channel sums over it (BatchNorm,
+    bias) add in memory order, so the layout fixes their rounding, and
+    einsum keeps it (``_channel_sum``). The bits are those of k*k slice-adds
+    into padded planes: every interior element gets the same terms in the
+    same order, its sum starting from +0.0, and the GEMM reduces over Cout
+    alike for every column. The columns of pad positions, whose runs reach
+    into the next row or slice and into the interior's edge, add ``w * 0``
+    summed over Cout: +-0.0, which changes no sum that starts from +0.0 (it
+    never becomes -0.0, and x + -0.0 is x). Where a row's weights are not all
+    finite that sum is NaN, so those rows' pad columns are zeroed after the
+    GEMM. Backward computes dw and dx only for inputs that require grad.
 
     The calling thread and the pool split the blocks when each thread's
     share is worth the dispatch. A block never splits a GEMM's reduction, so it computes
@@ -534,6 +549,7 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
         parents = (w, b, *inputs)
     k, p = kh, (kh - 1) // 2
     B, _, H, W = x.data.shape
+    Hp, Wp = H + 2 * p, W + 2 * p
     K, HW = Cin * k * k, H * W
     w2d = w.data.reshape(Cout, K)
     # slice blocks, and whether the pool shares them out
@@ -544,22 +560,25 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
     def padded():
         if not p and skip is None:
             return x.data
-        xp = np.zeros((B, Cin, H + 2 * p, W + 2 * p), DTYPE)
+        xp = np.zeros((B, Cin, Hp, Wp), DTYPE)
         np.concatenate([t.data for t in inputs], axis=1, out=xp[:, :, p : p + H, p : p + W])
         return xp
 
-    def im2col(xp, out):
-        # windows: [nb, Cin, H, W, k, k] view over the padded input slices
+    def windows(xp):
+        # [Cin, k, k, B, H, W] view: (c, i, j, b) is plane c of slice b shifted by (i, j)
         win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        np.copyto(out.reshape(Cin, k, k, len(xp), H, W), win.transpose(1, 4, 5, 0, 2, 3))
+        return win.transpose(1, 4, 5, 0, 2, 3)
+
+    def im2col(win, b0, b1, out):
+        np.copyto(out.reshape(Cin, k, k, b1 - b0, H, W), win[:, :, :, b0:b1])
         return out
 
-    xp = padded()
+    win = windows(padded())
     y = np.empty((B * HW, Cout), DTYPE)
 
     def forward(blk):
         b0, b1 = blk
-        cols = im2col(xp[b0:b1], _scratch("cols", (K, (b1 - b0) * HW)))
+        cols = im2col(win, b0, b1, _scratch("cols", (K, (b1 - b0) * HW)))
         rows = y[b0 * HW : b1 * HW]
         np.matmul(cols.T, w2d.T, out=rows)
         if b is not None:
@@ -574,7 +593,8 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
 
         def dw():
             if min(Cout, Cin, k) == 1 or Cout * Cin * B * HW <= _MIN_OFFSET_GEMM:
-                return (g2d @ im2col(padded(), np.empty((K, B * HW), DTYPE)).T).reshape(w.shape)
+                cols = im2col(windows(padded()), 0, B, np.empty((K, B * HW), DTYPE))
+                return (g2d @ cols.T).reshape(w.shape)
             xp, out = padded(), np.empty((k, k, Cin, Cout), DTYPE)
             plane = _scratch("cols", (Cin, B, H, W))  # forward's buffer: free in backward
             for i, j in np.ndindex(k, k):
@@ -582,18 +602,29 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
                 np.matmul(plane.reshape(Cin, B * HW), g2d.T, out=out[i, j])
             return np.ascontiguousarray(out.transpose(3, 2, 0, 1))
 
+        if dx is not None:
+            S = Hp * Wp  # column q of a block's dcols is frame position divmod(q % S, Wp)
+            # pad columns sum w * 0 over Cout: +-0.0, or NaN in a row with a non-finite weight
+            nan_rows = np.flatnonzero(~np.isfinite(w2d).all(axis=0))
+            gp = np.zeros((Cout, B, Hp, Wp), DTYPE)
+            gp[:, :, :H, :W] = g.transpose(1, 0, 2, 3)
+            gp = gp.reshape(Cout, B * S)
+
         def dx_block(blk):
             b0, b1 = blk
             n = b1 - b0
-            dcols = _scratch("dcols", (K, n * HW))
-            np.matmul(w2d.T, g2d[:, b0 * HW : b1 * HW], out=dcols)
-            dcols = dcols.reshape(Cin, k, k, n, H, W)
-            dxp = _scratch("dxp", (Cin, n, H + 2 * p, W + 2 * p))
+            dcols = _scratch("dcols", (K, n * S))
+            np.matmul(w2d.T, gp[:, b0 * S : b1 * S], out=dcols)
+            frames = dcols.reshape(K, n, Hp, Wp)
+            frames[nan_rows, :, H:] = 0
+            frames[nan_rows, :, :H, W:] = 0
+            dcols = dcols.reshape(Cin, k, k, n * S)
+            dxp = _scratch("dxp", (Cin, n * S + (k - 1) * (Wp + 1)))
             dxp.fill(0)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, :, i : i + H, j : j + W] += dcols[:, i, j]
-            dx[b0:b1] = dxp[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
+            for i, j in np.ndindex(k, k):
+                dxp[:, i * Wp + j : i * Wp + j + n * S] += dcols[:, i, j]
+            frames = dxp[:, : n * S].reshape(Cin, n, Hp, Wp)
+            dx[b0:b1] = frames[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
 
         # unsplit, the input gradient is one block: a block loop only pays on the pool
         dx_blocks = () if dx is None else blocks if split else [(0, B)]
@@ -651,7 +682,10 @@ class BatchNorm2d:
     The activation ``max(y, leak * y)`` runs in place on the normalized y. Its
     output is > 0 exactly where y is (NaN and -0.0 included), so backward
     takes the branch from the sign of the node's own output, which its
-    consumer keeps anyway. The step keeps the input (a parent) and the
+    consumer keeps anyway: g times ``[leak, 1][y > 0]``, a table lookup, into
+    a C-ordered array. That is np.where's value and layout; a product that
+    took the mask's channels-last order would change the channel sums'
+    rounding. The step keeps the input (a parent) and the
     per-channel mean and inverse std, and backward recomputes the normalized
     input from them, by the forward's own ops, instead of keeping it. On
     channels-last arrays, as conv2d makes them, the ops run on [B*H, W*C] rows
@@ -701,7 +735,8 @@ class BatchNorm2d:
         def grads(g):
             # yields in parent order: dbeta, dgamma, dx (only if x needs it)
             view, chan, unview = _bn_frame(x.data, y, g)
-            g = np.where(view(y) > 0, view(g), leak * view(g))
+            g = np.multiply(view(g), np.array([leak, 1], DTYPE)[(view(y) > 0).view(np.uint8)],
+                            out=np.empty(view(g).shape, DTYPE))
             xhat = (view(x.data) - chan(mean)) * chan(invstd)
             yield _channel_sum(unview(g))
             yield _channel_sum(unview(g * xhat))

@@ -290,7 +290,11 @@ def cmd_eval(args, cfg: Config):
     baseline = None
     if args.baseline:
         baseline = _read_results_csv(args.baseline)
-        have = {(r.case_id, r.cls) for r in baseline}
+        have = set()
+        for r in baseline:  # the t-test pairs each case with its one baseline row
+            if (r.case_id, r.cls) in have:
+                raise DatasetError(f"baseline {args.baseline} repeats case {r.case_id} class {r.cls}")
+            have.add((r.case_id, r.cls))
         for cid in ds.case_ids:
             for c in range(1, model.num_classes):
                 if (cid, c) not in have:

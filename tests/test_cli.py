@@ -841,6 +841,27 @@ class TestEval:
         assert f"lacks case {dropped}" in capsys.readouterr().err
         assert not out.exists() and not out.with_name("r_summary.csv").exists()
 
+    def test_baseline_repeating_a_row_exits_3_before_evaluating(self, ws, results, tmp_path,
+                                                                capsys):
+        with open(results, newline="") as f:
+            rows = list(csv.reader(f))
+        rng = np.random.default_rng(3)
+        for row in rows[1:]:  # a baseline the t-test takes, but for the repeat
+            row[3] = f"{max(0.0, float(row[3]) - rng.uniform(0.01, 0.1)):.6f}"
+        again = list(rows[1])
+        again[3] = "0.500000"  # the t-test would pair the case with this row alone
+        baseline = tmp_path / "twice.csv"
+        with open(baseline, "w", newline="") as f:
+            csv.writer(f).writerows(rows + [again])
+        out = tmp_path / "o" / "r.csv"
+        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
+                       "--data", str(ws.data / "target_test.upld"),
+                       "--out", str(out), "--mode", "single", "--seed", "9",
+                       "--baseline", str(baseline)])
+        assert rc == 3
+        assert f"repeats case {rows[1][1]} class {rows[1][2]}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_class_count_mismatch_exits_3(self, ws, tmp_path, capsys):
         ds = load_dataset(ws.data / "target_test.upld")
         labels = ds.labels.copy()
@@ -999,6 +1020,42 @@ class TestEmptyCase:
         rc = cli.main(argv + ["--config", str(ws.cfg)])
         assert rc == 3
         assert "case 'ghost' owns no slices" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def repeat_case_id(src, dst):
+    """Copy of the dataset file ``src`` whose second case takes the first
+    case's id (``save_dataset`` refuses to write one)."""
+    blob = src.read_bytes()
+    pos, entries = 26, []
+    for _ in range(struct.unpack_from("<I", blob, 22)[0]):
+        end = pos + 2 + struct.unpack_from("<H", blob, pos)[0]
+        entries.append(blob[pos:end])
+        pos = end
+    dst.write_bytes(blob[:26] + entries[0] + entries[0] + b"".join(entries[2:]) + blob[pos:])
+    return entries[0][2:].decode()
+
+
+class TestRepeatedCaseId:
+    @pytest.mark.parametrize("command,named", [
+        ("adapt-upl", "target_train.upld"),
+        ("eval-single", "target_test.upld"),
+    ])
+    def test_exits_3_naming_it_before_any_output(self, ws, tmp_path, capsys, command, named):
+        data, out = tmp_path / "data", tmp_path / "o"
+        data.mkdir()
+        for name in DATA_FILES:
+            (data / name).write_bytes((ws.data / name).read_bytes())
+        cid = repeat_case_id(ws.data / named, data / named)
+        ckpt = ["--checkpoint", str(ws.ckpt)]
+        argv = {
+            "adapt-upl": ["adapt", "--data", str(data), "--out", str(out)] + ckpt,
+            "eval-single": ["eval", "--data", str(data / named), "--out",
+                            str(out / "r.csv"), "--mode", "single"] + ckpt,
+        }[command]
+        rc = cli.main(argv + ["--config", str(ws.cfg)])
+        assert rc == 3
+        assert f"case {cid!r} is listed twice" in capsys.readouterr().err
         assert not out.exists()
 
 

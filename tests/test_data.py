@@ -145,6 +145,10 @@ class TestContainers:
         with pytest.raises(DatasetError, match="case 'c1' owns no slices"):
             UnlabeledSet(np.zeros((2, 1, 4, 4), np.float32), [0, 2], ["c0", "c1", "c2"])
 
+    def test_a_repeated_case_id_is_rejected_by_name(self):
+        with pytest.raises(DatasetError, match="case 'a' is listed twice"):
+            UnlabeledSet(np.zeros((2, 1, 4, 4), np.float32), [0, 1], ["a", "a"])
+
     @pytest.mark.parametrize("shape", [(4, 1, 0, 0), (4, 1, 0, 4), (4, 0, 4, 4)])
     def test_slices_without_a_channel_or_pixel_are_rejected(self, shape, tmp_path):
         with pytest.raises(DatasetError, match="C, H and W"):

@@ -2,8 +2,9 @@
 against one GEMM over the batch, concurrent head segments against a serial
 replay, the golden fit digests at pool width 1 and 2, and public calls on
 the main thread only. Each test forces every split, so toy sizes take the
-pool. The per-channel sums and softmax folds are swept over layouts against
-numpy's reductions, and BatchNorm against its 4-D expressions."""
+pool. conv2d also meets NaN, infinities and -0.0. The per-channel sums and
+softmax folds are swept over layouts against numpy's reductions, and
+BatchNorm against its 4-D expressions."""
 
 import importlib
 import inspect
@@ -75,6 +76,13 @@ def same_bytes(a, b):
         np.ascontiguousarray(b).tobytes()
 
 
+def same_bytes_but_nan_signs(a, b):
+    """``same_bytes`` once every NaN reads +NaN. Where NaNs of both signs
+    meet in a sum, the result takes either, by the operand order of the
+    kernel (a GEMM's edge columns, einsum against numpy's sum)."""
+    return same_bytes(*(np.where(np.isnan(v), np.float32(np.nan), v) for v in (a, b)))
+
+
 # (B, Cin, Cout, H, k): the toy pipeline's 16x16 B=10 8->8 layer, the
 # model's widest reduction (32 channels x 3x3 = 288), the 1-channel image,
 # 1x1 heads, a 5x5 kernel, odd batches and a batch of one
@@ -130,6 +138,55 @@ def test_skip_matches_the_concatenated_input(pool, width, B, Cin, Cout, H, k):
     for ours, ref in ((y.data, y_ref.data), (x.grad, xc.grad[:, :c]), (s.grad, xc.grad[:, c:]),
                       (w.grad, wc.grad), (b.grad, bc.grad)):
         assert same_bytes(ours, ref)
+
+
+def spiked(rng, shape):
+    """Normals with one NaN, -NaN, inf and -inf each at random places, and
+    the first half of the last slice's rows all -0.0."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    spots = rng.choice(a.size, 4, replace=False)
+    a.reshape(-1)[spots] = np.array([np.nan, -np.nan, np.inf, -np.inf], np.float32)
+    a[-1, :, : (shape[2] + 1) // 2] = -0.0
+    return a
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # raised on pool threads too
+@pytest.mark.parametrize("split", [None, 1, 2], ids=["one-block", "width1", "width2"])
+@pytest.mark.parametrize("B,Cin,Cout,H,k,skip",
+                         [(*s, skip) for s in CONV_SHAPES + [(3, 4, 4, 8, 3)]
+                          for skip in (False, True) if s[1] > 1 or not skip])
+def test_nonfinite_and_signed_zero_values_match_one_gemm(pool, monkeypatch, split,
+                                                         B, Cin, Cout, H, k, skip):
+    """y, dw, dx and dskip against ``unsplit_conv`` (col2im by k*k slice-adds)
+    with NaN of both signs, +-inf and -0.0 in w and g, as one block or one
+    slice per block at pool width 1 and 2. The input gradient adds whole
+    padded rows, so a slice's pad columns land on the interior's edge and in
+    the next slice's first rows, and must add only +-0.0, also where w * 0 is
+    NaN: the 3-slice 8x8 row holds just a NaN in w's last kernel row, whose
+    pad columns reach the next slice."""
+    pool(split or 1)
+    if split is None:
+        monkeypatch.setattr(ad, "_MIN_SHARE_FLOP", np.inf)  # the input gradient as one block
+    rng = np.random.default_rng(B * 1000 + Cin * 10 + k)
+    cat = rng.standard_normal((B, Cin, H, H)).astype(np.float32)
+    bd = rng.standard_normal(Cout).astype(np.float32)
+    if (B, Cin, Cout, H, k) == (3, 4, 4, 8, 3):
+        wd = rng.standard_normal((Cout, Cin, k, k)).astype(np.float32)
+        wd[1, 2, 2, 1] = np.nan
+        g = rng.standard_normal((B, Cout, H, H)).astype(np.float32)
+    else:
+        wd, g = spiked(rng, (Cout, Cin, k, k)), spiked(rng, (B, Cout, H, H))
+    c = Cin // 2 if skip else Cin
+    x, s, w, b = (ad.Tensor(a, requires_grad=True) for a in (cat[:, :c], cat[:, c:], wd, bd))
+    with ad.Tape() as tape:
+        y = ad.conv2d(x, w, b, skip=s if skip else None)
+        tape.backward(ad.tsum(ad.mul(y, g)))
+    y_ref, dw_ref, dx_ref = unsplit_conv(cat, wd, bd, g)
+    assert np.isnan(dx_ref).any() and not np.isnan(dx_ref).all()
+    for ours, ref in ((y.data, y_ref), (w.grad, dw_ref), (x.grad, dx_ref[:, :c])):
+        assert same_bytes_but_nan_signs(ours, ref)
+    if skip:
+        assert same_bytes_but_nan_signs(s.grad, dx_ref[:, c:])
 
 
 # (B, Cin, Cout, H, k, skip channels) whose weight gradient goes one kernel
@@ -289,6 +346,48 @@ def test_batchnorm_matches_its_4d_expressions(pool, width, train, leak, g_layout
                                  bn.gamma.grad, x.grad), ref):
             assert same_bytes(ours, theirs)
     assert bool(tasks) == (width == 2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * inf at leak 0
+@pytest.mark.parametrize("specials", [False, True])
+@pytest.mark.parametrize("shape", [(10, 8, 64, 64), (10, 16, 32, 32)])
+@pytest.mark.parametrize("leak", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_select_keeps_the_layout_of_np_where(train, leak, shape, specials):
+    """BatchNorm on a channels-last input (conv2d's output) with a
+    C-contiguous output gradient (an encoder BatchNorm that feeds maxpool
+    and a skip), at the pipeline's sizes, against ``batchnorm_4d``. The leaky
+    select must leave g in C order, as np.where does: the channel sums round
+    by memory order, and a product that took the input's layout would give
+    other bits here (not at 16x16). With ``specials``, 5% of the first half
+    of g's channels are NaN of both signs, +-0 or +-inf."""
+    rng = np.random.default_rng(int(train) * 10 + int(leak * 100) + shape[1])
+    B, C, H, W = shape
+    x = laid_out(rng.standard_normal(shape).astype(np.float32) * 3 + 1, "channels-last")
+    g = rng.standard_normal(shape).astype(np.float32)
+    if specials:
+        half = g[:, : C // 2]
+        pick = rng.random(half.shape) < 0.05
+        half[pick] = rng.choice(np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf], np.float32),
+                                pick.sum())
+    bn = ad.BatchNorm2d(C, leak=leak)
+    bn.gamma.data[:] = rng.uniform(0.5, 1.5, C)
+    bn.beta.data[:] = rng.uniform(-0.5, 0.5, C)
+    bn.forward(ad.Tensor(laid_out(rng.standard_normal(shape).astype(np.float32), "channels-last")),
+               train=True)
+    y_ref, mean_ref, var_ref, dbeta, dgamma, dx = batchnorm_4d(
+        x, bn.gamma.data, bn.beta.data, bn.running_mean, bn.running_var, leak, train, g)
+    xt = ad.Tensor(x, requires_grad=True)
+    with ad.Tape() as tape:
+        y = bn.forward(xt, train)
+        tape.backward(ad._node(np.zeros((), np.float32), (y,), lambda _: (g,)))
+    for ours, ref in ((y.data, y_ref), (bn.running_mean, mean_ref), (bn.running_var, var_ref)):
+        assert same_bytes(ours, ref)
+    # sums over NaNs of both signs end on either sign (``_channel_sum``)
+    for ours, ref in ((bn.beta.grad, dbeta), (bn.gamma.grad, dgamma), (xt.grad, dx)):
+        assert same_bytes_but_nan_signs(ours, ref)
+    if not train:  # dx is g times a per-channel factor: every bit, NaN signs too
+        assert same_bytes(xt.grad, dx)
 
 
 def test_a_segment_may_not_read_a_tensor_made_outside_it():
