@@ -31,7 +31,9 @@ is split only where the split cannot change a bit:
   are merged in the serial replay order, copying the first gradient and
   adding the rest as ``_node`` does.
 
-So results are identical at any pool width, and to a serial replay.
+So results are identical at any pool width, and to a serial replay, but for
+the sign of a NaN: with NaNs of both signs in conv2d's w or g, a NaN in dx
+can differ in sign between slice blocks and one block.
 Per-channel work takes long inner loops only where numpy's bits stay: einsum
 for channel sums of channels-last arrays with C > 1, [B*H, W*C] rows for
 BatchNorm on them, slice folds for softmax below 8 channels, and whole

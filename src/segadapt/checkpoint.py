@@ -7,7 +7,8 @@ Byte layout, little-endian throughout:
     4       2          format version, u16 (currently 1)
     6       4          header length u32
     10      hlen       header, UTF-8 JSON with sorted keys: architecture
-                       fields, num_heads, head_dropout, epoch, seeds
+                       fields, bn_eps, bn_momentum, num_heads,
+                       head_dropout, epoch, seeds
     ..      4          entry count u32
     per entry:
             2          name length u16
@@ -20,9 +21,11 @@ Byte layout, little-endian throughout:
 
 Entries carry parameters and BN running statistics (``<layer>.running_mean``,
 ``.running_var``, ``.num_batches``). Loading verifies magic, version, CRC,
-the header (UTF-8 JSON, a valid architecture, num_heads in 1..MAX_HEADS), the
-header fields that size arrays against the entries before a model is built
-from them, and entry shapes against the declared architecture; every failure
+the header (UTF-8 JSON, a valid architecture, an integer num_heads in
+1..MAX_HEADS, a boolean head_dropout, BatchNorm's built-in eps and momentum),
+the header fields that size arrays against the entries before a model is
+built from them, and the entries against the ones ``save_checkpoint`` writes
+for the declared model: none missing, none extra, every shape; every failure
 is a ``CheckpointError``.
 """
 
@@ -179,39 +182,42 @@ def load_checkpoint(path) -> tuple[SegModel, dict]:
     header, arrays = read_entries(path)
     try:
         arch = ArchConfig(**header["arch"])
-        num_heads = int(header["num_heads"])
+        num_heads, head_dropout = header["num_heads"], header["head_dropout"]
+        eps_momentum = header["bn_eps"], header["bn_momentum"]
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"malformed checkpoint header: {e}") from e
-    if not 1 <= num_heads <= MAX_HEADS:
-        raise CheckpointError(f"checkpoint num_heads must be in 1..{MAX_HEADS}, got {num_heads}")
+    if type(num_heads) is not int or not 1 <= num_heads <= MAX_HEADS:
+        raise CheckpointError(
+            f"checkpoint num_heads {num_heads!r} is not an integer in 1..{MAX_HEADS}")
+    if type(head_dropout) is not bool:
+        raise CheckpointError(f"checkpoint head_dropout {head_dropout!r} is not a boolean")
+    if eps_momentum != (BatchNorm2d.eps, BatchNorm2d.momentum):
+        raise CheckpointError(f"checkpoint bn_eps, bn_momentum {eps_momentum} are not the "
+                              f"built-in {BatchNorm2d.eps}, {BatchNorm2d.momentum}")
     _check_sizes(arch, arrays)
 
     rng = np.random.default_rng(0)  # placeholder init, overwritten below
     model = SegModel(arch, rng)
     if num_heads > 1:
         model = model.grow(num_heads)
-    model.head_dropout = bool(header.get("head_dropout", num_heads > 1))
+    model.head_dropout = head_dropout
 
-    for name, t in model.named_parameters().items():
+    expected = _collect_arrays(model)  # the table save_checkpoint writes for this model
+    for name in expected | arrays:  # its order, then the file's strays
+        if name not in expected:
+            raise CheckpointError(f"checkpoint entry {name!r} is not in a {num_heads}-head model")
         if name not in arrays:
             raise CheckpointError(f"checkpoint missing entry {name!r}")
-        if arrays[name].shape != t.data.shape:
-            raise CheckpointError(
-                f"shape mismatch for {name!r}: checkpoint {arrays[name].shape}, arch {t.data.shape}"
-            )
-        t.data = arrays[name].astype(np.float32)
+        if arrays[name].shape != expected[name].shape:
+            raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
+                                  f"{arrays[name].shape}, arch {expected[name].shape}")
+    for name, t in model.named_parameters().items():
+        t.data = arrays[name]
     for name, bn in model.bn_layers().items():
-        for suffix in ("running_mean", "running_var", "num_batches"):
-            if f"{name}.{suffix}" not in arrays:
-                raise CheckpointError(f"checkpoint missing entry {name}.{suffix}")
-        rm = arrays[f"{name}.running_mean"]
-        rv = arrays[f"{name}.running_var"]
-        nb = arrays[f"{name}.num_batches"]
-        if rm.shape != bn.running_mean.shape or rv.shape != bn.running_var.shape:
-            raise CheckpointError(f"shape mismatch for running stats of {name!r}")
-        if nb.shape != (1,) or not np.isfinite(nb[0]):
+        nb = arrays[f"{name}.num_batches"][0]
+        if not np.isfinite(nb):
             raise CheckpointError(f"{name}.num_batches must be one finite number")
-        bn.running_mean = rm.astype(np.float32)
-        bn.running_var = rv.astype(np.float32)
-        bn.num_batches = int(nb[0])
+        bn.running_mean = arrays[f"{name}.running_mean"]
+        bn.running_var = arrays[f"{name}.running_var"]
+        bn.num_batches = int(nb)
     return model, header

@@ -109,6 +109,8 @@ def _build(method: str, checkpoint, data, cfg: Config, seed: int,
     inputs = {f"{domain}_{s}": Path(data) / f"{domain}_{s}.upld" for s in ("train", "val")}
     arch, model = ArchConfig(), None
     if method not in ("pretrain", "target-only"):
+        if not checkpoint:
+            raise ConfigError(f"--method {method} needs --checkpoint")
         model, _ = load_checkpoint(checkpoint)
         if model.num_heads != 1:
             raise CheckpointError("adaptation expects a single-head source checkpoint")
@@ -436,9 +438,6 @@ def main(argv=None) -> int:
     the config, and returns ``(out_dir, command, inputs, outputs)``: where the
     manifest goes, its command name, the input files by name and the outputs."""
     args = build_parser().parse_args(argv)
-    if args.command == "adapt" and args.method != "target-only" and not args.checkpoint:
-        print("adapt needs --checkpoint for this method", file=sys.stderr)
-        return 2
     try:
         t0 = time.monotonic()
         cfg = parse_config(args.config) if args.config else default_config()

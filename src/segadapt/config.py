@@ -1,11 +1,10 @@
 """Flat ``key = value`` config files with [data]/[pretrain]/[adapt] sections.
 
-Unknown sections or keys are hard errors; values are converted by the field
-types of the config dataclasses. Any section (or the file itself) may be
-omitted, in which case defaults apply.
+Unknown sections (``[DEFAULT]`` too) or keys are hard errors; each value is
+read by configparser's getter for its field's type, as literal text (no
+``%`` interpolation). Any section (or the file itself) may be omitted, in
+which case defaults apply.
 """
-
-from __future__ import annotations
 
 import configparser
 import math
@@ -55,24 +54,8 @@ class Config:
 
 
 _SECTIONS = {"data": DataConfig, "pretrain": PretrainConfig, "adapt": AdaptConfig}
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
-
-
-def _convert(raw: str, target_type, section: str, key: str):
-    raw = raw.strip()
-    try:
-        if target_type is bool:
-            low = raw.lower()
-            if low in _TRUE:
-                return True
-            if low in _FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        return target_type(raw)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key}: {e}") from e
+_GETTERS = {int: configparser.ConfigParser.getint, float: configparser.ConfigParser.getfloat,
+            bool: configparser.ConfigParser.getboolean, str: configparser.ConfigParser.get}
 
 
 def default_config() -> Config:
@@ -81,7 +64,8 @@ def default_config() -> Config:
 
 def parse_config(path) -> Config:
     path = Path(path)
-    cp = configparser.ConfigParser()
+    # no section header can be empty, so [DEFAULT] is an ordinary, unknown section
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as e:
@@ -96,14 +80,13 @@ def parse_config(path) -> Config:
             raise ConfigError(f"unknown config section [{section}]")
         target = getattr(cfg, section)
         known = {f.name: f.type for f in fields(target)}
-        types = {"int": int, "float": float, "str": str, "bool": bool}
-        for key, raw in cp.items(section):
+        for key in cp.options(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            ftype = known[key]
-            if isinstance(ftype, str):  # postponed annotations
-                ftype = types[ftype]
-            setattr(target, key, _convert(raw, ftype, section, key))
+            try:
+                setattr(target, key, _GETTERS[known[key]](cp, section, key))
+            except ValueError as e:
+                raise ConfigError(f"[{section}] {key}: {e}") from e
     for section in _SECTIONS:
         check_bounds(getattr(cfg, section), section)
     return cfg

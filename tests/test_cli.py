@@ -24,6 +24,7 @@ from segadapt.data import LabeledSet, load_dataset, save_dataset
 from segadapt.estimators import (FineTuner, MultiHeadAdapter, PtbnAdapter, SelfTrainAdapter,
                                  SourceTrainer, TentAdapter)
 from segadapt.pseudolabel import cleanup_label_map
+from test_model import reserialize
 
 MINI_CFG = """\
 [data]
@@ -261,6 +262,20 @@ class TestConfigErrors:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,named", [
+        ("[data]\nbenchmark = syn%a2b\n", "[data] benchmark"),
+        ("[adapt]\ntau = %(x)s\n", "[adapt] tau"),
+        ("[adapt]\nlr = 0.5\nentropy_weight = %(lr)s\n", "[adapt] entropy_weight"),
+        ("[DEFAULT]\n", "[DEFAULT]"),
+        ("[DEFAULT]\nlr = 0.5\n[pretrain]\nepochs = 1\n", "[DEFAULT]"),
+    ], ids=["percent", "interpolation-missing", "interpolation", "default", "default-beside"])
+    def test_values_are_literal_and_default_is_unknown(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(text)
+        assert self.run_gen(bad, tmp_path) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_tent_observe_only_lr_zero_is_valid(self, tmp_path):
         cfg = tmp_path / "tent.cfg"
         cfg.write_text("[adapt]\nlr = 0\nentropy_weight = 0\n")
@@ -457,10 +472,12 @@ class TestAdapt:
         assert 0.0 <= rec["reliable_fraction"] <= 1.0
         assert rec["loss"] is not None and rec["loss_entropy"] is not None
 
-    def test_missing_checkpoint_flag_exits_2(self, ws):
+    def test_missing_checkpoint_flag_exits_2(self, ws, capsys):
         rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(ws.root / "x"),
                        "--method", "upl"])
         assert rc == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not (ws.root / "x").exists()
 
     def test_ablate_with_non_upl_method_exits_2(self, ws, capsys):
         rc = cli.main(["adapt", "--data", str(ws.data), "--out", str(ws.root / "x"),
@@ -903,6 +920,8 @@ class TestLoaderErrors:
         pytest.param({"base_channels": 0}, id="base-channels-0"),
         pytest.param({"in_channels": 0}, id="in-channels-0"),
         pytest.param({"leak": -0.5}, id="leak-negative"),
+        pytest.param({"bn_eps": 1e-3}, id="bn-eps"),
+        pytest.param({"bn_momentum": 0.2}, id="bn-momentum"),
     ])
     def test_bad_checkpoint_header_exits_3(self, ws, tmp_path, capsys, header):
         if isinstance(header, dict):
@@ -913,6 +932,36 @@ class TestLoaderErrors:
                        str(ws.data / "target_test.upld"), "--out", str(tmp_path / "r.csv")])
         assert rc == 3
         assert "checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"num_heads": 2}, id="heads-2-of-3"),
+        pytest.param({"num_heads": 2.5}, id="heads-2.5"),
+        pytest.param({"num_heads": True}, id="heads-true"),
+        pytest.param({"num_heads": "3"}, id="heads-string"),
+        pytest.param({"head_dropout": "false"}, id="dropout-string"),
+        pytest.param({"head_dropout": 0}, id="dropout-0"),
+        pytest.param(None, id="stray-entry"),
+    ])
+    def test_entries_and_head_fields_of_a_three_head_file_exit_3(self, ws, tmp_path, capsys,
+                                                                 change):
+        """A 3-head file must hold exactly a 3-head model's entries and say so
+        with an integer num_heads and a boolean head_dropout."""
+        model, _ = load_checkpoint(ws.ckpt)
+        three, bad = tmp_path / "three.uplc", tmp_path / "bad.uplc"
+        save_checkpoint(three, model.grow(3))
+        if change is None:
+            header, arrays = read_entries(three)
+            arrays["head3.out.w"] = arrays["head2.out.w"]
+            bad.write_bytes(reserialize(header, arrays))
+        else:
+            rewrite_header(three, bad, header_with(three, **change))
+        out = tmp_path / "r.csv"
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--data",
+                       str(ws.data / "target_test.upld"), "--out", str(out)])
+        assert rc == 3
+        assert "checkpoint" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_pixel_exits_3(self, ws, tmp_path, capsys):
         ds = load_dataset(ws.data / "target_test.upld")

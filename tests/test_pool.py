@@ -14,6 +14,7 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +27,16 @@ from _oracles import batchnorm_4d
 from test_autodiff import RELEASE_DIGEST, release_graph
 from test_estimators import GOLDEN, fit_digest, pretrained, toy_data  # noqa: F401 (fixtures)
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def pool(monkeypatch):
     """``pool(width)`` makes every conv2d and segment replay split across a
-    fresh pool of ``width`` workers; returns the list of submitted tasks."""
-    submitted = []
+    fresh pool of ``width`` workers; returns the list of submitted tasks.
+    Only that pool is shut down: a test that never calls ``pool`` leaves the
+    process-wide one to the tests after it."""
+    submitted, forced = [], []
 
     class CountingPool(ThreadPoolExecutor):
         def submit(self, fn, *args, **kwargs):
@@ -44,10 +49,11 @@ def pool(monkeypatch):
         monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)  # one slice per block
         monkeypatch.setattr(ad, "_pool", None)
         monkeypatch.setattr(ad, "ThreadPoolExecutor", CountingPool)
+        forced.append(width)
         return submitted
 
     yield force
-    if ad._pool is not None:
+    if forced and ad._pool is not None:
         ad._pool.shutdown()
 
 
@@ -459,6 +465,36 @@ def test_more_workers_than_cores_with_a_short_switch_interval(pool):
     finally:
         sys.setswitchinterval(interval)
     assert tasks
+
+
+def test_an_uncalled_pool_fixture_leaves_the_process_pool_running(pytester):
+    """A session in which one test requests ``pool`` without calling it, between
+    two that split conv2d over the process-wide pool at ``_WORKERS = 2``."""
+    paths = [str(Path(__file__).parent), str(Path(segadapt.__file__).parents[1])]
+    pytester.makepyfile(f"""
+        import sys
+        sys.path[:0] = {paths!r}
+        import pytest
+        from segadapt import autodiff as ad
+        from test_pool import assert_conv_matches_unsplit, pool
+
+        @pytest.fixture
+        def split(monkeypatch):
+            monkeypatch.setattr(ad, "_WORKERS", 2)
+            monkeypatch.setattr(ad, "_MIN_SHARE_FLOP", 0)
+            monkeypatch.setattr(ad, "_BLOCK_BYTES", 1)
+
+        def test_split_makes_the_process_pool(split):
+            assert_conv_matches_unsplit(10, 8, 8, 16, 3)
+            assert ad._pool is not None
+
+        def test_requests_pool_without_calling_it(pool):
+            pass
+
+        def test_split_again(split):
+            assert_conv_matches_unsplit(10, 8, 8, 16, 3)
+    """)
+    pytester.runpytest_subprocess("-p", "no:cacheprovider").assert_outcomes(passed=3)
 
 
 @pytest.mark.parametrize("width", [1, 2])
