@@ -527,11 +527,12 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
     finite that sum is NaN, so those rows' pad columns are zeroed after the
     GEMM. Backward computes dw and dx only for inputs that require grad.
 
-    The calling thread and the pool split the blocks when each thread's
-    share is worth the dispatch. A block never splits a GEMM's reduction, so it computes
-    every output element as the one-GEMM form would, bit for bit, as long as
-    no GEMM dimension is 1 (numpy then takes a matrix-vector product, whose
-    rounding depends on the length). Such shapes run as one block.
+    The calling thread and the pool split the blocks when each share is worth
+    the dispatch; unsplit, the same blocks run in order. A block never splits
+    a GEMM's reduction, so it computes every output element as the one-GEMM
+    form would, bit for bit, unless a GEMM dimension is 1 (numpy then takes a
+    matrix-vector product, whose rounding depends on the length): such shapes
+    run as one block.
     """
     x, w = as_tensor(x), as_tensor(w)
     inputs = (x,) if skip is None else (x, as_tensor(skip))
@@ -628,8 +629,8 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
             frames = dxp[:, : n * S].reshape(Cin, n, Hp, Wp)
             dx[b0:b1] = frames[:, :, p : p + H, p : p + W].transpose(1, 2, 3, 0)
 
-        # unsplit, the input gradient is one block: a block loop only pays on the pool
-        dx_blocks = () if dx is None else blocks if split else [(0, B)]
+        # the blocks at any pool width: a kernel may round them unlike one GEMM over B
+        dx_blocks = () if dx is None else blocks
         out = [_each(dx_block, dx_blocks, split and dx is not None,
                      first=dw if w.requires_grad else None)]
         if b is not None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -100,13 +101,12 @@ def _dataset(path, arch: ArchConfig, labels: bool = False) -> LabeledSet:
     return ds
 
 
-def _build(method: str, checkpoint, data, cfg: Config, seed: int,
-           ablate: frozenset = frozenset(), where: str = "[adapt]"):
-    """``(estimator, train, val, the set it fits, the files it read)`` for
-    ``method``, checked against the checkpoint and the split of ``data`` it
-    reads before anything is written; ``where`` prefixes a tau error."""
+def _inputs(method: str, checkpoint, data):
+    """``(model, train, val, paths)``: the single-head source model (None for
+    pretrain and target-only) and the train and val sets that ``method`` reads,
+    checked before anything is written, and each file's path by manifest name."""
     domain = "source" if method == "pretrain" else "target"
-    inputs = {f"{domain}_{s}": Path(data) / f"{domain}_{s}.upld" for s in ("train", "val")}
+    paths = {f"{domain}_{s}": Path(data) / f"{domain}_{s}.upld" for s in ("train", "val")}
     arch, model = ArchConfig(), None
     if method not in ("pretrain", "target-only"):
         if not checkpoint:
@@ -114,19 +114,12 @@ def _build(method: str, checkpoint, data, cfg: Config, seed: int,
         model, _ = load_checkpoint(checkpoint)
         if model.num_heads != 1:
             raise CheckpointError("adaptation expects a single-head source checkpoint")
-        if method == "upl":
-            check_tau(cfg.adapt.tau, model.num_classes, where)
         arch = model.arch
     supervised = method.startswith("finetune")
-    train, val = (_dataset(path, arch, labels=supervised) for path in inputs.values())
-    if model is None:
-        return SourceTrainer(cfg.pretrain, train.num_classes, seed), train, val, train, inputs
-    inputs["checkpoint"] = checkpoint
-    extra = {"ablate": ablate} if method == "upl" else {}
-    est = ADAPTERS[method](model, cfg.adapt, seed, **extra)
-    # source-free methods never see target labels
-    fit_set = {"finetune-train": train, "finetune-valid": val}.get(method, train.drop_labels())
-    return est, train, val, fit_set, inputs
+    train, val = (_dataset(path, arch, labels=supervised) for path in paths.values())
+    if model is not None:
+        paths["checkpoint"] = checkpoint
+    return model, train, val, paths
 
 
 def _progress(stage: str, rec, epochs: int):
@@ -155,7 +148,8 @@ def _fit_and_save(args, est, fit_set, val, ckpt_name: str, stage: str):
 
 
 def cmd_pretrain(args, cfg: Config):
-    trainer, _, val, train, inputs = _build("pretrain", None, args.data, cfg, args.seed)
+    _, train, val, inputs = _inputs("pretrain", None, args.data)
+    trainer = SourceTrainer(cfg.pretrain, train.num_classes, args.seed)
     out, outputs = _fit_and_save(args, trainer, train, val, "checkpoint.uplc", "pretrain")
     print(_fit_summary(trainer))
     return out, "pretrain", inputs, outputs
@@ -174,8 +168,17 @@ def cmd_adapt(args, cfg: Config):
                            or cfg.adapt.epochs == 0):
         raise ConfigError("--dump-maps needs a run that builds pseudo labels: --method upl "
                           "without TFS ablated, or selftrain, and [adapt] epochs >= 1")
-    est, train, val, fit_set, inputs = _build(args.method, args.checkpoint, args.data, cfg,
-                                              args.seed, ablate)
+    model, train, val, inputs = _inputs(args.method, args.checkpoint, args.data)
+    if model is None:
+        est = SourceTrainer(cfg.pretrain, train.num_classes, args.seed)
+    elif args.method == "upl":
+        check_tau(cfg.adapt.tau, model.num_classes)
+        est = MultiHeadAdapter(model, cfg.adapt, args.seed, ablate)
+    else:
+        est = ADAPTERS[args.method](model, cfg.adapt, args.seed)
+    # source-free methods never see target labels
+    fit_set = {"target-only": train, "finetune-train": train,
+               "finetune-valid": val}.get(args.method, train.drop_labels())
     if args.dump_maps:  # a file in the way fails here, before --out exists
         Path(args.dump_maps).mkdir(parents=True, exist_ok=True)
         rows = dict.fromkeys(train.case_slices(0).tolist())  # each epoch overwrites the last
@@ -223,66 +226,60 @@ def _eval_results(model, ds: LabeledSet, mode: str, cfg: Config, seed: int,
     return results
 
 
-def _write_results_csv(path, results: list):
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["method", "case_id", "class", "dice", "assd", "flags"])
-        for r in results:
-            flags = "" if r.assd_defined else "EMPTY"
-            w.writerow([r.method, r.case_id, r.cls, f"{r.dice:.6f}",
-                        "" if not r.assd_defined else f"{r.assd:.6f}", flags])
+def _results_csv(results: list) -> str:
+    f = io.StringIO()
+    w = csv.writer(f)
+    w.writerow(["method", "case_id", "class", "dice", "assd", "flags"])
+    for r in results:
+        flags = "" if r.assd_defined else "EMPTY"
+        w.writerow([r.method, r.case_id, r.cls, f"{r.dice:.6f}",
+                    "" if not r.assd_defined else f"{r.assd:.6f}", flags])
+    return f.getvalue()
 
 
-def _read_results_csv(path) -> list:
-    """CaseResults of a results CSV; DatasetError on undecodable bytes or cells."""
+def _read_results_csv(f, path) -> list:
+    """CaseResults of results CSV ``path``, open as ``f``; DatasetError on bad bytes or cells."""
     results = []
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(f)
-            need = {"method", "case_id", "class", "dice", "assd", "flags"}
-            if reader.fieldnames is None or not need.issubset(reader.fieldnames):
-                raise DatasetError(f"{path}: not a results CSV (columns {reader.fieldnames})")
-            for row in reader:
-                try:  # a short row's missing cells are None
-                    cls, dice = int(row["class"]), float(row["dice"])
-                    dist = float(row["assd"]) if row["assd"] else np.nan
-                except (TypeError, ValueError):
-                    cls, dice, dist = None, np.nan, np.nan
-                if not (0.0 <= dice <= 1.0 and (not row["assd"] or 0.0 <= dist < np.inf)):
-                    raise DatasetError(f"{path} line {reader.line_num}: needs an integer class, "
-                                       "a dice in [0, 1] and an empty or finite assd >= 0")
-                results.append(CaseResult(row["method"], row["case_id"], cls, dice, dist))
+        reader = csv.DictReader(f)
+        need = {"method", "case_id", "class", "dice", "assd", "flags"}
+        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+            raise DatasetError(f"{path}: not a results CSV (columns {reader.fieldnames})")
+        for row in reader:
+            try:  # a short row's missing cells are None
+                cls, dice = int(row["class"]), float(row["dice"])
+                dist = float(row["assd"]) if row["assd"] else np.nan
+            except (TypeError, ValueError):
+                cls, dice, dist = None, np.nan, np.nan
+            if not (0.0 <= dice <= 1.0 and (not row["assd"] or 0.0 <= dist < np.inf)):
+                raise DatasetError(f"{path} line {reader.line_num}: needs an integer class, "
+                                   "a dice in [0, 1] and an empty or finite assd >= 0")
+            results.append(CaseResult(row["method"], row["case_id"], cls, dice, dist))
     except UnicodeDecodeError as e:
         raise DatasetError(f"{path}: not UTF-8 ({e})") from e
     return results
 
 
-def _write_summary_csv(path, results: list, baseline: list | None):
+def _summary_csv(results: list, baseline: list | None) -> str:
     summary = aggregate(results)
-    tcols = baseline is not None
-    base_by_key = {}
-    if tcols:
-        base_by_key = {(r.case_id, r.cls): r.dice for r in baseline}
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        header = ["class", "n", "dice_mean", "dice_sd", "assd_mean", "assd_sd", "assd_excluded"]
-        if tcols:
-            header += ["t_vs_baseline", "p_vs_baseline"]
-        w.writerow(header)
-        for cls, s in summary.items():
-            row = [cls, s.n, f"{s.dice_mean:.6f}", f"{s.dice_sd:.6f}",
-                   f"{s.assd_mean:.6f}" if np.isfinite(s.assd_mean) else "",
-                   f"{s.assd_sd:.6f}" if np.isfinite(s.assd_sd) else "",
-                   s.assd_excluded]
-            if tcols:
-                ours, theirs = [], []
-                for r in results:  # cmd_eval checked that the baseline has every case
-                    if r.cls == cls:
-                        ours.append(r.dice)
-                        theirs.append(base_by_key[(r.case_id, r.cls)])
-                t, p = paired_t_test(ours, theirs)
-                row += [f"{t:.6f}", f"{p:.6g}"]
-            w.writerow(row)
+    base_by_key = {(r.case_id, r.cls): r.dice for r in baseline or ()}
+    f = io.StringIO()
+    w = csv.writer(f)
+    header = ["class", "n", "dice_mean", "dice_sd", "assd_mean", "assd_sd", "assd_excluded"]
+    if baseline is not None:
+        header += ["t_vs_baseline", "p_vs_baseline"]
+    w.writerow(header)
+    for cls, s in summary.items():
+        row = [cls, s.n, f"{s.dice_mean:.6f}", f"{s.dice_sd:.6f}",
+               f"{s.assd_mean:.6f}" if np.isfinite(s.assd_mean) else "",
+               f"{s.assd_sd:.6f}" if np.isfinite(s.assd_sd) else "",
+               s.assd_excluded]
+        if baseline is not None:  # cmd_eval checked that the baseline has every case
+            mine = [r for r in results if r.cls == cls]
+            t, p = paired_t_test([r.dice for r in mine], [base_by_key[r.case_id, cls] for r in mine])
+            row += [f"{t:.6f}", f"{p:.6g}"]
+        w.writerow(row)
+    return f.getvalue()
 
 
 def cmd_eval(args, cfg: Config):
@@ -291,7 +288,8 @@ def cmd_eval(args, cfg: Config):
     # read the baseline before evaluating, so a bad one leaves no results behind
     baseline = None
     if args.baseline:
-        baseline = _read_results_csv(args.baseline)
+        with open(args.baseline, newline="", encoding="utf-8") as f:
+            baseline = _read_results_csv(f, args.baseline)
         have = set()
         for r in baseline:  # the t-test pairs each case with its one baseline row
             if (r.case_id, r.cls) in have:
@@ -302,16 +300,17 @@ def cmd_eval(args, cfg: Config):
                 if (cid, c) not in have:
                     raise DatasetError(f"baseline {args.baseline} lacks case {cid} class {c}")
     name = args.name or args.mode
-    results = _eval_results(model, ds, args.mode, cfg, args.seed, name)
+    text = _results_csv(_eval_results(model, ds, args.mode, cfg, args.seed, name))
+    # summary and t-test read the CSV back so both comparison sides carry its 6-decimal
+    # quantization (a file against itself is exactly zero-difference, which the t-test
+    # rejects as degenerate); they run before any file is written
+    results = _read_results_csv(io.StringIO(text, newline=""), args.out)
+    summary = _summary_csv(results, baseline)
     out_csv = Path(args.out)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    _write_results_csv(out_csv, results)
-    # summary and t-test read the emitted CSV back so both comparison sides
-    # carry the same 6-decimal quantization (a file against itself is exactly
-    # zero-difference, which the t-test rejects as degenerate)
-    results = _read_results_csv(out_csv)
     summary_csv = out_csv.with_name(out_csv.stem + "_summary.csv")
-    _write_summary_csv(summary_csv, results, baseline)
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
+    out_csv.write_text(text, encoding="utf-8", newline="")
+    summary_csv.write_text(summary, encoding="utf-8", newline="")
     inputs = {"checkpoint": args.checkpoint, "data": args.data}
     if args.baseline:
         inputs["baseline"] = args.baseline
@@ -348,31 +347,28 @@ def _parse_grid(tokens: list) -> list:
 
 def cmd_ablate(args, cfg: Config):
     combos = _parse_grid(args.grid)
-    grid = [replace(cfg, adapt=replace(cfg.adapt, **combo)) for combo in combos]
-    for point in grid:
-        check_bounds(point.adapt, "adapt", "grid")
-    ests = []
-    for point in grid:  # every point passes adapt's checks before --out exists
-        est, _, val, fit_set, inputs = _build("upl", args.checkpoint, args.data, point,
-                                              args.seed, where="grid")
-        ests.append(est)
-    # every point reads the same files, so one point's sets serve every fit
+    points = [replace(cfg.adapt, **combo) for combo in combos]
+    for point in points:
+        check_bounds(point, "adapt", "grid")
+    model, train, val, inputs = _inputs("upl", args.checkpoint, args.data)
+    for point in points:  # every point passes adapt's checks before --out exists
+        check_tau(point.tau, model.num_classes, "grid")
     out = _out_dir(args)
     rows = []
-    for combo, est in zip(combos, ests):
+    for combo, point in zip(combos, points):
+        # fit adapts a copy of the model, so every point starts from the same source
+        est = MultiHeadAdapter(model, point, args.seed)
         est.on_epoch = partial(_progress, f"ablate {combo}")
-        est.fit(fit_set, val)
+        est.fit(train.drop_labels(), val)
         ran = est.best_epoch_ >= 0  # a point that ran no epoch has no measurement
         rows.append({**combo, "val_dice": est.best_val_dice_ if ran else "",
                      "best_epoch": est.best_epoch_ if ran else ""})
         print(f"{combo} -> {_fit_summary(est)}")
-    keys = sorted({k for row in rows for k in row})
     sweep_csv = out / "sweep.csv"
     with open(sweep_csv, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(keys)
-        for row in rows:
-            w.writerow([row.get(k, "") for k in keys])
+        w = csv.DictWriter(f, sorted(rows[0]))  # every row has the same keys
+        w.writeheader()
+        w.writerows(rows)
     return out, "ablate", inputs, [sweep_csv]
 
 

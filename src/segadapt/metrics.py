@@ -214,8 +214,9 @@ def student_t_sf2(t: float, dof: float) -> float:
 def paired_t_test(a, b) -> tuple[float, float]:
     """Two-sided paired Student's t-test; returns (t, p).
 
-    Raises on fewer than two pairs or zero-variance differences (a sample
-    compared against itself, or itself plus a constant).
+    Raises on fewer than two pairs or zero-variance differences (a sample against
+    itself or itself plus a constant): differences spanning under half the 1e-6
+    quantum of a results CSV, as float64 noise would make t huge.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -225,8 +226,7 @@ def paired_t_test(a, b) -> tuple[float, float]:
     if n < 2:
         raise DegenerateStatsError(f"paired t-test needs at least 2 pairs, got {n}")
     d = a - b
-    sd = d.std(ddof=1)
-    if sd == 0.0:
+    if np.ptp(d) < 0.5e-6:
         raise DegenerateStatsError("zero-variance differences; paired t-test undefined")
-    t = d.mean() / (sd / math.sqrt(n))
+    t = d.mean() / (d.std(ddof=1) / math.sqrt(n))
     return float(t), float(student_t_sf2(t, n - 1))

@@ -767,12 +767,24 @@ class TestEval:
             assert abs(float(summary[cls]["dice_sd"]) - np.std(dices)) < 1e-6
 
     def test_t_test_against_itself_exits_3(self, ws, results, tmp_path, capsys):
-        rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
-                       "--data", str(ws.data / "target_test.upld"),
-                       "--out", str(tmp_path / "r.csv"), "--mode", "single",
-                       "--seed", "9", "--baseline", str(results)])
-        assert rc == 3
-        assert "data error" in capsys.readouterr().err
+        """Against itself, or itself plus a constant, every difference is the
+        same to the CSV's 6 decimals: exit 3 before any result is written."""
+        with open(results, newline="") as f:
+            rows = list(csv.reader(f))
+        for shift in (0.0, 0.05):
+            shifted = [rows[0]] + [row[:3] + [f"{float(row[3]) + shift:.6f}"] + row[4:]
+                                   for row in rows[1:]]
+            baseline = tmp_path / f"baseline{shift}.csv"
+            with open(baseline, "w", newline="") as f:
+                csv.writer(f).writerows(shifted)
+            out = tmp_path / f"ev{shift}" / "r.csv"
+            rc = cli.main(["eval", "--checkpoint", str(ws.ckpt),
+                           "--data", str(ws.data / "target_test.upld"),
+                           "--out", str(out), "--mode", "single",
+                           "--seed", "9", "--baseline", str(baseline)])
+            assert rc == 3, shift
+            assert "data error: zero-variance differences" in capsys.readouterr().err
+            assert not out.parent.exists()
 
     def test_t_test_against_shifted_baseline(self, ws, results, tmp_path):
         baseline = tmp_path / "baseline.csv"
@@ -1160,21 +1172,44 @@ class TestAblate:
             assert 0.0 <= float(r["val_dice"]) <= 1.0
 
     def test_grid_of_one_matches_single_adapt_run(self, ws, tmp_path):
-        out = tmp_path / "sweep1"
+        """Each row equals its own adapt run, in a grid of one and of two: the
+        points share one loaded source model, and none carries state into the
+        next."""
+        for heads in ([2], [1, 2]):
+            out = tmp_path / f"sweep{len(heads)}"
+            rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
+                           "--out", str(out), "--config", str(ws.cfg), "--seed", "6",
+                           "--grid", "heads=" + ",".join(map(str, heads))])
+            assert rc == 0
+            with open(out / "sweep.csv", newline="") as f:
+                rows = list(csv.DictReader(f))
+            assert [int(row["heads"]) for row in rows] == heads
+            for row, k in zip(rows, heads):
+                cfg = tmp_path / f"heads{k}.cfg"
+                cfg.write_text(MINI_CFG.replace("heads = 2\n", f"heads = {k}\n"))
+                adapted = tmp_path / f"adapted{len(heads)}_{k}"
+                rc = cli.main(["adapt", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
+                               "--out", str(adapted), "--config", str(cfg), "--seed", "6",
+                               "--method", "upl"])
+                assert rc == 0
+                vals = [r["val_dice_mean"] for r in read_jsonl(adapted / "trainlog.jsonl")]
+                assert float(row["val_dice"]) == max(vals)
+                assert int(row["best_epoch"]) == int(np.argmax(vals))
+
+    def test_every_input_is_read_once(self, ws, tmp_path, monkeypatch):
+        calls = {"load_checkpoint": 0, "load_dataset": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(cli, name, counted)
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(MINI_CFG.replace("epochs = 1\n", "epochs = 0\n"))
         rc = cli.main(["ablate", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
-                       "--out", str(out), "--config", str(ws.cfg), "--seed", "6",
-                       "--grid", "heads=2"])
+                       "--out", str(tmp_path / "o"), "--config", str(cfg),
+                       "--grid", "heads=1,2,4", "tau=0.9,0.95"])
         assert rc == 0
-        with open(out / "sweep.csv", newline="") as f:
-            row = list(csv.DictReader(f))[0]
-        adapted = tmp_path / "adapted"
-        rc = cli.main(["adapt", "--checkpoint", str(ws.ckpt), "--data", str(ws.data),
-                       "--out", str(adapted), "--config", str(ws.cfg), "--seed", "6",
-                       "--method", "upl"])
-        assert rc == 0
-        vals = [r["val_dice_mean"] for r in read_jsonl(adapted / "trainlog.jsonl")]
-        assert float(row["val_dice"]) == max(vals)
-        assert int(row["best_epoch"]) == int(np.argmax(vals))
+        assert calls == {"load_checkpoint": 1, "load_dataset": 2}
 
     @pytest.mark.parametrize("grid,fragment", [
         (["heads"], "not key"),
@@ -1252,8 +1287,8 @@ class TestManifests:
     def test_eval_with_baseline(self, ws, results, tmp_path):
         with open(results, newline="") as f:
             rows = list(csv.reader(f))
-        for row in rows[1:]:  # a baseline a little worse on every case
-            row[3] = f"{max(0.0, float(row[3]) - 0.05):.6f}"
+        for i, row in enumerate(rows[1:]):  # a little worse on every case, by varying amounts
+            row[3] = f"{max(0.0, float(row[3]) - 0.05 - 0.001 * i):.6f}"
         baseline = tmp_path / "baseline.csv"
         with open(baseline, "w", newline="") as f:
             csv.writer(f).writerows(rows)

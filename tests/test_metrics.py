@@ -232,6 +232,10 @@ class TestPairedT:
             paired_t_test(a, a)
         with pytest.raises(DegenerateStatsError):
             paired_t_test(a, a + 0.5)
+        # 6-decimal values 0.05 apart: float64 differences 0.04999999999999993
+        # and 0.04999999999999999, a noise-sized spread that read as t ~ 1.8e15
+        with pytest.raises(DegenerateStatsError):
+            paired_t_test([0.621246, 0.511192], [0.571246, 0.461192])
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(DegenerateStatsError):

@@ -2,13 +2,17 @@
 against one GEMM over the batch, concurrent head segments against a serial
 replay, the golden fit digests at pool width 1 and 2, and public calls on
 the main thread only. Each test forces every split, so toy sizes take the
-pool. conv2d also meets NaN, infinities and -0.0. The per-channel sums and
+pool, but for conv2d's input gradient at pool width 1 and 2 under each
+OpenBLAS core type, which runs in a child process at the default split.
+conv2d also meets NaN, infinities and -0.0. The per-channel sums and
 softmax folds are swept over layouts against numpy's reductions, and
 BatchNorm against its 4-D expressions."""
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -495,6 +499,64 @@ def test_an_uncalled_pool_fixture_leaves_the_process_pool_running(pytester):
             assert_conv_matches_unsplit(10, 8, 8, 16, 3)
     """)
     pytester.runpytest_subprocess("-p", "no:cacheprovider").assert_outcomes(passed=3)
+
+
+# prints, as its first line, the core type of each OpenBLAS bundled with numpy
+_CORE_NAMES = """
+import ctypes, glob, os
+import numpy as np
+libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+names = []
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    fn = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+    if fn is not None:
+        fn.restype = ctypes.c_char_p
+        names.append(fn().decode())
+print(names)
+"""
+
+
+def run_under_core(core: str, code: str) -> str:
+    """The output of ``code`` run in a child python whose OpenBLAS takes the
+    kernels of ``core`` (``OPENBLAS_CORETYPE``, set only in the child), with
+    BLAS on one thread. Skips unless numpy's bundled OpenBLAS reports that
+    core there: it falls back to its default for a name it does not know, and
+    a non-x86 build has none of them."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _CORE_NAMES + code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    names, _, out = proc.stdout.partition("\n")
+    if names != repr([core]):
+        pytest.skip(f"numpy's OpenBLAS reports {names} under OPENBLAS_CORETYPE={core}")
+    return out
+
+
+# a (10,8,32,32) -> 16 conv2d's input gradient at pool width 1 and 2, by sha256
+_CONV_DX_AT_WIDTHS = """
+import hashlib
+from segadapt import autodiff as ad
+rng = np.random.default_rng(0)
+xd, g = (rng.standard_normal(s).astype(np.float32) for s in ((10, 8, 32, 32), (10, 16, 32, 32)))
+w = ad.Tensor(rng.standard_normal((16, 8, 3, 3)).astype(np.float32))
+for width in (1, 2):
+    ad._WORKERS = width
+    x = ad.Tensor(xd, requires_grad=True)
+    with ad.Tape() as tape:
+        tape.backward(ad.tsum(ad.mul(ad.conv2d(x, w), g)))
+    print(hashlib.sha256(x.grad.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell"])
+def test_input_gradient_blocks_do_not_depend_on_pool_width(core):
+    """The layer has 23.6e6 FLOPs, between the default split thresholds of
+    width 1 and width 2, so width 1 splits its slice blocks and width 2 does
+    not. A kernel that rounds a slice block's GEMM unlike one GEMM over the
+    batch (Haswell's) shows whether the blocks themselves change with it."""
+    widths = run_under_core(core, _CONV_DX_AT_WIDTHS).split()
+    assert len(widths) == 2 and widths[0] == widths[1]
 
 
 @pytest.mark.parametrize("width", [1, 2])
