@@ -499,14 +499,15 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
     columns stay in cache: it copies the block's columns into a reused buffer
     and writes ``cols_blk.T @ w2d.T`` into the block's rows of the output.
     That [B*H*W, Cout] result is the output in channels-last memory (a
-    transposed view). Backward recomputes the columns instead of keeping
-    them on the tape (peak memory stays that of the input). The weight
-    gradient goes one kernel offset (i, j) at a time: plane (i, j) of the
-    columns, [Cin, B*H*W], is copied into a reused buffer, and
-    ``dw[:, :, i, j]`` is ``(plane @ g2d.T).T`` with g2d = [Cout, B*H*W],
-    so no 9x column matrix exists. At or below ``_MIN_OFFSET_GEMM``, or with
-    a dimension of 1, BLAS would round differently: dw is then
-    ``g2d @ cols.T`` in one GEMM.
+    transposed view). The bias adds along its [n*H, W*Cout] rows, tiled W
+    times: the same sums as Cout floats at a time, in longer loops. Backward
+    recomputes the columns instead of keeping them on the tape (peak memory
+    stays that of the input). The weight gradient goes one kernel offset
+    (i, j) at a time: plane (i, j) of the columns, [Cin, B*H*W], is copied
+    into a reused buffer, and ``dw[:, :, i, j]`` is ``(plane @ g2d.T).T``
+    with g2d = [Cout, B*H*W], so no 9x column matrix exists. At or below
+    ``_MIN_OFFSET_GEMM``, or with a dimension of 1, BLAS would round
+    differently: dw is then ``g2d @ cols.T`` in one GEMM.
 
     The input gradient goes by slice blocks on flat padded rows. g is copied
     once into zeroed [Cout, B, Hp, Wp] frames (Hp = H + 2p, Wp = W + 2p),
@@ -578,14 +579,16 @@ def conv2d(x, w, b=None, skip=None) -> Tensor:
 
     win = windows(padded())
     y = np.empty((B * HW, Cout), DTYPE)
+    bias_row = None if b is None else np.tile(b.data, W)
 
     def forward(blk):
         b0, b1 = blk
         cols = im2col(win, b0, b1, _scratch("cols", (K, (b1 - b0) * HW)))
         rows = y[b0 * HW : b1 * HW]
         np.matmul(cols.T, w2d.T, out=rows)
-        if b is not None:
-            rows += b.data
+        if b is not None:  # along [n*H, W*Cout] rows, as BatchNorm's frame
+            wide = rows.reshape(-1, W * Cout)
+            wide += bias_row
 
     _each(forward, blocks, split)
 
@@ -692,7 +695,10 @@ class BatchNorm2d:
     per-channel mean and inverse std, and backward recomputes the normalized
     input from them, by the forward's own ops, instead of keeping it. On
     channels-last arrays, as conv2d makes them, the ops run on [B*H, W*C] rows
-    (``_bn_frame``) and the sums through einsum, with the same bits.
+    (``_bn_frame``) and the sums through einsum, with the same bits. The
+    elementwise chains run in place, with the plain expressions' ops, operands
+    and order (IEEE products commute); the products that feed channel sums get
+    fresh arrays of g's layout, so the sums add in the same memory order.
     """
 
     eps, momentum = 1e-5, 0.1
@@ -730,7 +736,10 @@ class BatchNorm2d:
             self.running_var = (1 - m) * self.running_var + m * var
             self.num_batches += 1
         invstd = 1.0 / np.sqrt(var + DTYPE(self.eps))
-        y = chan(gamma.data) * (diff * chan(invstd)) + chan(beta.data)
+        y = diff  # gamma * (diff * invstd) + beta, in diff's buffer
+        y *= chan(invstd)
+        np.multiply(chan(gamma.data), y, out=y)
+        y += chan(beta.data)
         leak = DTYPE(self.leak)
         np.maximum(y, leak * y, out=y)
         y = unview(y)
@@ -740,18 +749,27 @@ class BatchNorm2d:
             view, chan, unview = _bn_frame(x.data, y, g)
             g = np.multiply(view(g), np.array([leak, 1], DTYPE)[(view(y) > 0).view(np.uint8)],
                             out=np.empty(view(g).shape, DTYPE))
-            xhat = (view(x.data) - chan(mean)) * chan(invstd)
+            xhat = view(x.data) - chan(mean)
+            xhat *= chan(invstd)
             yield _channel_sum(unview(g))
             yield _channel_sum(unview(g * xhat))
             if not x.requires_grad:
                 return
             if not train:  # the statistics are constants
-                yield unview(g * (chan(gamma.data) * chan(invstd)))
+                g *= chan(gamma.data) * chan(invstd)
+                yield unview(g)
                 return
-            dxhat = g * chan(gamma.data)
+            # (invstd / N) * (N * dxhat - s1 - xhat * s2), in g's buffer
+            dxhat = g
+            dxhat *= chan(gamma.data)
             s1 = chan(_channel_sum(unview(dxhat)))
             s2 = chan(_channel_sum(unview(dxhat * xhat)))
-            yield unview(((chan(invstd) / N) * (N * dxhat - s1 - xhat * s2)).astype(DTYPE, copy=False))
+            dxhat *= N
+            dxhat -= s1
+            xhat *= s2
+            dxhat -= xhat
+            dxhat *= chan(invstd) / N
+            yield unview(dxhat)
 
         return _node(y, (beta, gamma, x), grads)
 

@@ -2,9 +2,11 @@
 
 ASSD uses exact Euclidean distances between boundary point sets (a boundary
 pixel is a mask pixel with a 4-neighbor outside the mask or on the image
-border). Dice of two empty masks is 1.0 by convention; ASSD with either mask
-empty is undefined and reported as the EMPTY sentinel, which aggregation
-excludes and counts.
+border). A point's nearest distance is the square root of its least exact
+integer squared distance: sqrt is correctly rounded and monotone, so that is
+the float the float64 distances of all pairs give. Dice of two empty masks is
+1.0 by convention; ASSD with either mask empty is undefined and reported as
+the EMPTY sentinel, which aggregation excludes and counts.
 """
 
 from __future__ import annotations
@@ -58,9 +60,12 @@ def boundary_points(mask: np.ndarray) -> np.ndarray:
 
 def _directed_mean_distance(src: np.ndarray, dst: np.ndarray) -> float:
     # mean over src points of the exact Euclidean distance to nearest dst point
-    diff = src[:, None, :].astype(np.float64) - dst[None, :, :].astype(np.float64)
-    d = np.sqrt((diff * diff).sum(axis=2))
-    return float(d.min(axis=1).mean())
+    dr = np.subtract.outer(src[:, 0], dst[:, 0])
+    dc = np.subtract.outer(src[:, 1], dst[:, 1])
+    dr *= dr
+    dc *= dc
+    dr += dc
+    return float(np.sqrt(dr.min(axis=1)).mean())
 
 
 def assd(pred: np.ndarray, gt: np.ndarray, cls: int) -> float:

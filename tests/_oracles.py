@@ -230,6 +230,29 @@ def assd_allpairs(pred, gt):
     return total / (len(bp) + len(bg))
 
 
+def directed_mean_distance_f64(src, dst):
+    """Mean over src points of the distance to the nearest dst point, from
+    the float64 [N, M, 2] difference of all pairs."""
+    diff = src[:, None, :].astype(np.float64) - dst[None, :, :].astype(np.float64)
+    d = np.sqrt((diff * diff).sum(axis=2))
+    return float(d.min(axis=1).mean())
+
+
+def assd_f64(pred, gt):
+    """ASSD of two [S, H, W] mask stacks pooled over slices, with
+    ``directed_mean_distance_f64``; None when no slice has both boundaries."""
+    total, count = 0.0, 0
+    for ps, gs in zip(pred, gt):
+        bp = np.array(boundary_loop(ps), dtype=np.int64).reshape(-1, 2)
+        bg = np.array(boundary_loop(gs), dtype=np.int64).reshape(-1, 2)
+        if len(bp) == 0 or len(bg) == 0:
+            continue
+        total += (directed_mean_distance_f64(bp, bg) * len(bp)
+                  + directed_mean_distance_f64(bg, bp) * len(bg))
+        count += len(bp) + len(bg)
+    return total / count if count else None
+
+
 def mean_longdouble(arrays):
     """Elementwise average accumulated in extended precision."""
     acc = np.zeros(arrays[0].shape, dtype=np.longdouble)

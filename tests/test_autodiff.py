@@ -641,6 +641,22 @@ class TestBatchNorm:
         # output before the activation
         assert grown < 2.5 * y.data.nbytes
 
+    @pytest.mark.parametrize("train", [True, False], ids=["train", "eval"])
+    def test_forward_peak_is_its_output_and_one_temporary(self, train):
+        bn = ad.BatchNorm2d(8, leak=0.01)
+        # channels-last, as conv2d makes it
+        x = ad.Tensor(rand((10, 64, 64, 8), 104).transpose(0, 3, 1, 2))
+        bn.forward(x, train=True)  # running statistics for eval
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bn.forward(x, train=train)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the output and leak * y, not also the affine chain's temporaries
+        assert peak <= 2.5 * x.data.nbytes
+
     def test_eval_step_keeps_the_running_mean_it_normalized_with(self):
         def grads(train_forward_between: bool):
             bn = ad.BatchNorm2d(2)

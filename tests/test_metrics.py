@@ -9,6 +9,7 @@ from segadapt.metrics import (
     EMPTY,
     CaseResult,
     DegenerateStatsError,
+    _directed_mean_distance,
     aggregate,
     assd,
     boundary_points,
@@ -16,7 +17,13 @@ from segadapt.metrics import (
     paired_t_test,
     student_t_sf2,
 )
-from _oracles import assd_allpairs, boundary_loop, paired_t_reference
+from _oracles import (
+    assd_allpairs,
+    assd_f64,
+    boundary_loop,
+    directed_mean_distance_f64,
+    paired_t_reference,
+)
 
 
 class TestDice:
@@ -153,6 +160,31 @@ class TestAssd:
         p[0, 2, 2] = 1
         g[1, 3, 3] = 1
         assert math.isnan(assd(p, g, 1))
+
+    def test_directed_distance_is_bit_equal_to_float64_all_pairs(self):
+        rng = np.random.default_rng(23)
+        sets = []
+        for hi in (1, 3, 64, 10**4):
+            for n, m in ((1, 1), (1, 9), (9, 1), (40, 70)):
+                sets.append((rng.integers(0, hi + 1, (n, 2)), rng.integers(0, hi + 1, (m, 2))))
+        same = rng.integers(0, 10**4 + 1, (30, 2))
+        sets += [(same, same), (same[:1], same[:1]), (same, same[::-1].copy())]
+        for src, dst in sets:
+            ours = _directed_mean_distance(src, dst)
+            assert ours.hex() == directed_mean_distance_f64(src, dst).hex()
+
+    def test_stack_is_bit_equal_to_float64_all_pairs(self):
+        rng = np.random.default_rng(24)
+        rr, cc = np.mgrid[:40, :40]
+        for _ in range(6):
+            p = rng.random((4, 40, 40)) < 0.3
+            g = rng.random((4, 40, 40)) < 0.3
+            r0, r1 = sorted(rng.uniform(3, 19, 2))
+            radius = np.hypot(rr - rng.integers(12, 28), cc - rng.integers(12, 28))
+            p[1] = (radius >= r0) & (radius <= r1)  # a ring against noise
+            g[2] = False  # one-sided slice
+            p[3] = g[3] = False  # empty on both sides
+            assert assd(p.astype(int), g.astype(int), 1).hex() == assd_f64(p, g).hex()
 
     def test_four_dimensional_input_rejected(self):
         with pytest.raises(ValueError):

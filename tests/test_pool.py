@@ -559,6 +559,33 @@ def test_input_gradient_blocks_do_not_depend_on_pool_width(core):
     assert len(widths) == 2 and widths[0] == widths[1]
 
 
+# every GOLDEN fit on test_estimators' toy data at pool width 1 and 2, one
+# line of digests per width; splits forced as the ``pool`` fixture forces them
+_GOLDEN_AT_WIDTHS = """
+from segadapt import autodiff as ad
+from segadapt.config import PretrainConfig
+from segadapt.estimators import SourceTrainer
+from test_estimators import GOLDEN, fit_digest, square_set
+ad._MIN_SHARE_FLOP, ad._BLOCK_BYTES = 0, 1
+train, val = square_set(0, n_cases=3, n_slices=2), square_set(1, n_cases=1, n_slices=2)
+pretrained = SourceTrainer(PretrainConfig(epochs=4, lr=0.01), 3, 7).fit(train, val).model_
+for width in (1, 2):
+    ad._WORKERS = width
+    print(*(fit_digest(make(pretrained).fit(train if labeled else train.drop_labels(), val))
+            for _, (make, labeled, _) in sorted(GOLDEN.items())))
+"""
+
+
+@pytest.mark.parametrize("core", ["SkylakeX", "Haswell"])
+def test_golden_fits_do_not_depend_on_pool_width(core):
+    """The README's claim, under each kernel: equal digests at both widths.
+    The pinned GOLDEN digests hold for one kernel only, so they are not
+    compared here."""
+    widths = run_under_core(core, _GOLDEN_AT_WIDTHS).splitlines()
+    assert len(widths) == 2 and len(widths[0].split()) == len(GOLDEN)
+    assert widths[0] == widths[1]
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_golden_digests_at_pool_width(pool, toy_data, pretrained, width):
     tasks = pool(width)
