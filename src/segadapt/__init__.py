@@ -4,9 +4,9 @@ from .autodiff import BatchNorm2d, Tape, Tensor
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import AdaptConfig, Config, ConfigError, DataConfig, PretrainConfig, parse_config
 from .data import DatasetError, LabeledSet, UnlabeledSet, load_dataset, save_dataset
-from .estimators import (FineTuner, MultiHeadAdapter, NumericFailure, PtbnAdapter,
-                         SelfTrainAdapter, SourceTrainer, TentAdapter, TrainLog)
-from .inference import infer_ensemble, infer_single
+from .estimators import (FineTuner, MultiHeadAdapter, PtbnAdapter, SelfTrainAdapter,
+                         SourceTrainer, TentAdapter, TrainLog)
+from .inference import NumericFailure, infer_ensemble, infer_single
 from .losses import dice_loss, mean_prediction_entropy
 from .metrics import (CaseResult, DegenerateStatsError, aggregate, assd,
                       dice_coefficient, paired_t_test)

@@ -3,8 +3,8 @@
 Subcommands: gen-data, pretrain, adapt, eval, ablate. Every run writes a
 manifest.json (config snapshot, root seed, input hashes, outputs, timing)
 next to its outputs. Exit codes: 0 success, 2 usage or config error,
-3 data or format error, 4 numeric failure (non-finite loss, with a
-diagnostic dump in the output directory).
+3 data or format error, 4 numeric failure (a non-finite loss or prediction,
+with a diagnostic dump in the output directory).
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import numpy as np
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import Config, ConfigError, check_bounds, check_tau, default_config, parse_config
 from .data import DatasetError, LabeledSet, load_dataset, save_dataset
-from .estimators import (ABLATIONS, FineTuner, MultiHeadAdapter, NumericFailure,
-                         PtbnAdapter, SelfTrainAdapter, SourceTrainer, TentAdapter,
-                         check_ablate)
-from .inference import infer_ensemble, infer_single
+from .estimators import (ABLATIONS, FineTuner, MultiHeadAdapter, PtbnAdapter,
+                         SelfTrainAdapter, SourceTrainer, TentAdapter, check_ablate)
+from .inference import NumericFailure, infer_ensemble, infer_single
 from .metrics import (CaseResult, DegenerateStatsError, aggregate, assd,
                       dice_coefficient, paired_t_test)
 from .model import ArchConfig
@@ -216,9 +215,9 @@ def _eval_results(model, ds: LabeledSet, mode: str, cfg: Config, seed: int,
     results = []
     for cid, imgs, labs in ds.cases():
         if mode == "ensemble":
-            pred, _ = infer_ensemble(model, imgs, rng, cleanup=cfg.adapt.cleanup)
+            pred, _ = infer_ensemble(model, imgs, rng, cfg.adapt.cleanup, stage="eval", case=cid)
         else:
-            pred, _ = infer_single(model, imgs, cleanup=cfg.adapt.cleanup)
+            pred, _ = infer_single(model, imgs, cfg.adapt.cleanup, stage="eval", case=cid)
         for c in range(1, model.num_classes):
             results.append(CaseResult(method_name, cid, c,
                                       dice_coefficient(pred, labs, c),
@@ -457,8 +456,8 @@ def main(argv=None) -> int:
     except (DatasetError, CheckpointError, DegenerateStatsError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
-    except NumericFailure as e:
-        out = Path(getattr(args, "out", "."))
+    except NumericFailure as e:  # eval's --out is its results CSV
+        out = Path(args.out).parent if args.func is cmd_eval else Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         dump = out / "nan_dump.json"
         dump.write_text(json.dumps(e.diagnostics, indent=2, sort_keys=True) + "\n",

@@ -20,6 +20,11 @@ the update step:
 - ``SelfTrainAdapter``: single head supervised by its own argmax labels.
 - ``FineTuner``: supervised Dice training from a pre-trained model.
 
+Pseudo labels (of K heads or of one) and every validation check the heads'
+maps with ``inference.check_prediction`` and label them with
+``argmax_labels``, with cleanup as ``[adapt] cleanup`` says;
+``SourceTrainer``'s ``[pretrain]`` has no such key and always cleans.
+
 Fitted attributes use the trailing-underscore convention: ``model_``,
 ``log_``, ``best_epoch_``, ``best_val_dice_``. Two hooks, ``None`` unless
 set: ``on_epoch`` gets each epoch's record, and ``on_bundle`` gets the batch
@@ -32,6 +37,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from . import transforms as tf
 from .autodiff import Tape
 from .config import AdaptConfig, PretrainConfig
 from .data import LabeledSet, UnlabeledSet
-from .inference import head_probs, infer_ensemble, infer_single
+from .inference import NumericFailure, check_prediction, head_probs, infer_ensemble, infer_single
 from .losses import dice_loss, mean_prediction_entropy
 from .metrics import dice_coefficient
 from .model import ArchConfig, SegModel
@@ -62,14 +68,6 @@ def check_ablate(ablate) -> frozenset:
     if {"TFS", "LMENT"} <= ablate:
         raise ValueError("ablating both TFS and LMENT leaves nothing to optimize")
     return ablate
-
-
-class NumericFailure(RuntimeError):
-    """Loss left the finite range; carries context for the diagnostic dump."""
-
-    def __init__(self, message: str, diagnostics: dict):
-        super().__init__(message)
-        self.diagnostics = diagnostics
 
 
 @dataclass
@@ -154,13 +152,13 @@ class SegmentationEstimator:
     def __init__(self, model: SegModel, cfg: AdaptConfig, seed: int):
         self.model, self.cfg, self.seed = model, cfg, seed
 
-    def _pseudo_label(self, idx, prob: np.ndarray, tau: float | None, **ctx):
-        """Pseudo labels from the model's own prediction on the batch ``idx``,
-        handed to ``on_bundle``. A non-finite value there fails the run like a
-        non-finite loss, where ``make_pseudo_label`` would reject it as bad input."""
-        if not np.isfinite(prob).all():
-            raise NumericFailure("non-finite prediction", dict(ctx, loss=float("nan")))
-        bundle = make_pseudo_label(prob, tau, cleanup=self.cfg.cleanup)
+    def _pseudo_label(self, idx, probs: list, tau: float | None, **ctx):
+        """Pseudo labels of the batch ``idx`` from the mean of its heads' maps
+        ``probs``, handed to ``on_bundle``; ``ctx`` names the step."""
+        # a float32 running sum, not ensemble_mean's float64 one: that moves UPL's
+        # bytes at some seeds, so one mean waits for a re-lock of the pinned values
+        mean = np.stack(check_prediction(probs, **ctx)).mean(axis=0, dtype=np.float32)
+        bundle = make_pseudo_label(mean, tau, cleanup=self.cfg.cleanup)
         if self.on_bundle is not None:
             self.on_bundle(idx, bundle)
         return bundle
@@ -172,18 +170,25 @@ class SegmentationEstimator:
         work.head_dropout = False
         return work
 
+    def _validate(self, work: SegModel, val: LabeledSet, epoch: int, rng=None):
+        """``validation_dice`` of ``work``'s labels on ``val``: ``infer_ensemble``
+        over every head with ``rng`` when given, else ``infer_single``."""
+        infer = infer_single if rng is None else partial(infer_ensemble, rng=rng)
+        cleanup = getattr(self.cfg, "cleanup", True)  # [pretrain] has no such key
+        return validation_dice(lambda imgs: infer(work, imgs, cleanup=cleanup, stage="validation",
+                                                  epoch=epoch)[0], val, work.num_classes)
+
     def _fit_epochs(self, work: SegModel, opt: Adam, train: UnlabeledSet,
-                    val: LabeledSet, step_fn, *, lr_fn=None, predict_fn=None):
+                    val: LabeledSet, step_fn, *, lr_fn=None, val_rng=None):
         """Run ``cfg.epochs`` epochs of ``step_fn(idx, epoch, step)`` over
-        ``cfg.batch``-sized batches, validate after each and keep the best.
+        ``cfg.batch``-sized batches, validate after each (``_validate`` with
+        ``val_rng``) and keep the best.
 
         ``step_fn`` tapes one update, leaving gradients on the parameters, and
         returns its log terms (keys among ``loss``, ``loss_entropy`` and
         ``reliable_fraction``). The learning rate is ``lr_fn(epoch)`` when
         given, else the constant ``cfg.lr``.
         """
-        if predict_fn is None:
-            predict_fn = lambda imgs: infer_single(work, imgs)[0]
         order_rng = named_stream(self.seed, "order")
         log = TrainLog()
         best_model, best_val, best_epoch = None, -1.0, -1
@@ -199,7 +204,7 @@ class SegmentationEstimator:
                     terms[key].append(value)
                 opt.step()
                 opt.zero_grad()
-            val_mean, per_class = validation_dice(predict_fn, val, work.num_classes)
+            val_mean, per_class = self._validate(work, val, epoch, val_rng)
             if val_mean > best_val:
                 best_model, best_val, best_epoch = work.clone(), val_mean, epoch
             means = {k: float(np.mean(v)) if v else None for k, v in terms.items()}
@@ -280,7 +285,6 @@ class MultiHeadAdapter(SegmentationEstimator):
         tau = None if "M" in ablate else cfg.tau
         t_rng = named_stream(self.seed, "transforms")
         d_rng = named_stream(self.seed, "dropout")
-        eval_rng = named_stream(self.seed, "eval")
 
         def heads_pass(x):
             """Every head under its own random transform, mapped back."""
@@ -293,9 +297,7 @@ class MultiHeadAdapter(SegmentationEstimator):
             terms = {}
             bundle = None
             if "TFS" not in ablate:
-                mean = np.stack([p.data for p in heads_pass(x)]).mean(axis=0,
-                                                                       dtype=np.float32)
-                bundle = self._pseudo_label(idx, mean, tau, stage="adapt", epoch=epoch,
+                bundle = self._pseudo_label(idx, heads_pass(x), tau, stage="adapt", epoch=epoch,
                                             step=step)
                 terms["reliable_fraction"] = bundle.reliable_fraction
             with Tape() as tape:
@@ -315,9 +317,9 @@ class MultiHeadAdapter(SegmentationEstimator):
                 tape.backward(loss)
             return terms
 
-        predict_fn = lambda imgs: infer_ensemble(work, imgs, eval_rng, cleanup=cfg.cleanup)[0]
         opt = Adam(work.parameter_groups("all"), cfg.lr)
-        return self._fit_epochs(work, opt, train, val, step_fn, predict_fn=predict_fn)
+        return self._fit_epochs(work, opt, train, val, step_fn,
+                                val_rng=named_stream(self.seed, "eval"))
 
 
 class PtbnAdapter(SegmentationEstimator):
@@ -332,8 +334,7 @@ class PtbnAdapter(SegmentationEstimator):
             x = train.images[train.case_slices(c)]
             work.forward_head(x, 0, train=True)  # no tape: statistics only
         log = TrainLog()
-        val_mean, per_class = validation_dice(
-            lambda imgs: infer_single(work, imgs)[0], val, work.num_classes)
+        val_mean, per_class = self._validate(work, val, 0)
         log.append(EpochRecord(0, None, None, per_class, val_mean, None, 0.0,
                                time.monotonic() - t0))
         self.model_ = work
@@ -385,7 +386,7 @@ class SelfTrainAdapter(SegmentationEstimator):
         def step_fn(idx, epoch, step):
             with Tape() as tape:
                 p = work.forward_head(train.images[idx], 0, train=True)
-                bundle = self._pseudo_label(idx, p.data, None, stage="selftrain",
+                bundle = self._pseudo_label(idx, [p], None, stage="selftrain",
                                             epoch=epoch, step=step)
                 sup = dice_loss([p], bundle.pseudo_onehot, bundle.reliability)
                 ment = mean_prediction_entropy([p])

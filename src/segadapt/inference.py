@@ -1,10 +1,15 @@
-"""The K-head pass, and eval-mode inference built on it.
+"""The K-head pass, the one finite check of its maps, and eval-mode inference.
 
 ``head_probs`` runs head k on the batch under transform k and maps the
 result back with the inverse transform. It is the one place that does so:
 eval-mode inference (single head, or transform-ensembled over all heads) and
 both passes of a UPL training step call it. On an active tape each head is
 one ``Segment``, so that backward replays the heads concurrently.
+
+``check_prediction`` is the one finite check of the heads' maps, for eval,
+validation and training's pseudo labels alike: a non-finite map is a
+``NumericFailure``. Eval and validation then average the maps with
+``ensemble_mean`` and label the mean with ``argmax_labels``.
 """
 
 from __future__ import annotations
@@ -13,9 +18,17 @@ import numpy as np
 
 from .autodiff import Segment, Tensor
 from .model import SegModel
-from .pseudolabel import cleanup_label_map, ensemble_mean
+from .pseudolabel import argmax_labels, ensemble_mean
 from .transforms import (IDENTITY, SpatialTransform, apply_inverse, apply_transform,
                          sample_transform)
+
+
+class NumericFailure(RuntimeError):
+    """A loss or prediction left the finite range; carries the dump's context."""
+
+    def __init__(self, message: str, diagnostics: dict):
+        super().__init__(message)
+        self.diagnostics = diagnostics
 
 
 def head_probs(model: SegModel, images: np.ndarray, transforms: list[SpatialTransform],
@@ -31,24 +44,29 @@ def head_probs(model: SegModel, images: np.ndarray, transforms: list[SpatialTran
     return probs
 
 
-def _labels_from(mean_prob: np.ndarray, num_classes: int, cleanup: bool) -> np.ndarray:
-    labels = mean_prob.argmax(axis=1).astype(np.uint8)
-    if cleanup:
-        labels = cleanup_label_map(labels, num_classes)
-    return labels
+def check_prediction(probs: list[Tensor], **ctx) -> list[np.ndarray]:
+    """The arrays of the heads' maps ``probs``; a non-finite value in them is
+    a ``NumericFailure`` with diagnostics ``ctx``, not bad input."""
+    if not all(np.isfinite(p.data).all() for p in probs):
+        raise NumericFailure("non-finite prediction", dict(ctx, loss=float("nan")))
+    return [p.data for p in probs]
 
 
-def infer_single(model: SegModel, images: np.ndarray,
-                 cleanup: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax labels and probabilities from head 0, identity transform."""
-    probs = head_probs(model, images, [IDENTITY])[0].data
-    return _labels_from(probs, model.num_classes, cleanup), probs
+def _predict(model, images, transforms, cleanup, ctx):
+    mean_prob = ensemble_mean(check_prediction(head_probs(model, images, transforms), **ctx))
+    return argmax_labels(mean_prob, cleanup), mean_prob
+
+
+def infer_single(model: SegModel, images: np.ndarray, cleanup: bool = True,
+                 **ctx) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and probabilities of head 0 under the identity transform.
+    ``ctx`` names the call in a ``NumericFailure``."""
+    return _predict(model, images, [IDENTITY], cleanup, ctx)
 
 
 def infer_ensemble(model: SegModel, images: np.ndarray, rng: np.random.Generator,
-                   cleanup: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Each head predicts under one sampled transform (inverse-mapped); the
-    mean map is argmaxed and cleaned. Returns (labels, mean_prob)."""
-    transforms = [sample_transform(rng) for _ in range(model.num_heads)]
-    mean_prob = ensemble_mean([p.data for p in head_probs(model, images, transforms)])
-    return _labels_from(mean_prob, model.num_classes, cleanup), mean_prob
+                   cleanup: bool = True, **ctx) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and mean probabilities of every head, each under one sampled
+    transform (inverse-mapped); ``ctx`` as for ``infer_single``."""
+    return _predict(model, images, [sample_transform(rng) for _ in range(model.num_heads)],
+                    cleanup, ctx)

@@ -1,11 +1,14 @@
 """Pseudo labels and reliability maps from multi-head mean predictions.
 
 Pipeline, over a whole batch in one pass: average the heads' probability
-maps, threshold the winning-class probability to get a binary reliability
-map, argmax to a label map (ties to the lowest class index), then optionally
-keep only the largest 4-connected component of each foreground class in each
-slice. Reliability always comes from the raw mean, before any cleanup. Maps
-are ``[..., C, H, W]`` and labels ``[..., H, W]``, any leading axes.
+maps (``ensemble_mean``), threshold the winning-class probability to get a
+binary reliability map, and turn the mean into labels (``argmax_labels``:
+argmax with ties to the lowest class index, then optionally only the largest
+4-connected component of each foreground class in each slice). Reliability
+always comes from the raw mean, before any cleanup. ``argmax_labels`` is also
+the label map of eval-mode inference, so training's pseudo labels,
+validation and eval share it. Maps are ``[..., C, H, W]`` and labels
+``[..., H, W]``, any leading axes.
 
 Component labeling is run-based and takes a whole ``[..., H, W]`` stack in
 one call: horizontal runs of equal labels are found with one cumsum, runs
@@ -152,6 +155,13 @@ def cleanup_label_map(label_map: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
+def argmax_labels(prob: np.ndarray, cleanup: bool = True) -> np.ndarray:
+    """``[..., C, H, W]`` -> ``[..., H, W]`` uint8 argmax labels, ties to the
+    lowest class; with ``cleanup``, passed through ``cleanup_label_map``."""
+    labels = prob.argmax(axis=-3).astype(np.uint8)
+    return cleanup_label_map(labels, prob.shape[-3]) if cleanup else labels
+
+
 @dataclass
 class PseudoLabelBundle:
     """Frozen supervision targets for one batch: one-hot labels, reliability maps."""
@@ -176,15 +186,12 @@ def make_pseudo_label(mean_prob: np.ndarray, tau: float | None,
     if mean_prob.ndim != 4:
         raise ValueError(f"expected [B,C,H,W] mean prediction, got shape {mean_prob.shape}")
     check_prob_map(mean_prob)
-    c = mean_prob.shape[1]
-    labels = mean_prob.argmax(axis=1)
-    if cleanup:
-        labels = cleanup_label_map(labels, c)
+    labels = argmax_labels(mean_prob, cleanup)
     if tau is None:
         rel = np.ones(labels.shape, dtype=np.float32)
     else:
         rel = reliability_map(mean_prob, tau)
-    return PseudoLabelBundle(one_hot(labels, c), rel)
+    return PseudoLabelBundle(one_hot(labels, mean_prob.shape[1]), rel)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,9 @@ import pytest
 
 from segadapt import cli, inference, optim
 from segadapt.autodiff import Tape
+from segadapt.config import default_config
+from segadapt.data import LabeledSet
+from segadapt.model import ArchConfig, SegModel
 from segadapt.pseudolabel import make_pseudo_label
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -81,3 +84,25 @@ def test_untraced_hooks_reach_the_cli():
     assert inspect.isfunction(vars(optim.Adam)["step"])
     for name in ("infer_single", "infer_ensemble"):
         assert getattr(cli, name) is getattr(inference, name)
+
+
+@pytest.mark.parametrize("mode", ["single", "ensemble"])
+def test_eval_calls_its_infer_hook_once_per_case(monkeypatch, mode):
+    """The untraced eval run stamps a step when ``cli.infer_*`` returns, and
+    the traced check counts those calls: one per case, in each mode."""
+    calls = {"infer_single": 0, "infer_ensemble": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    rng = np.random.default_rng(0)
+    ds = LabeledSet(rng.standard_normal((5, 1, 16, 16)).astype(np.float32),
+                    np.array([0, 0, 1, 2, 2]), ["a", "b", "c"],
+                    rng.integers(0, 3, (5, 16, 16)).astype(np.uint8))
+    model = SegModel(ArchConfig(), np.random.default_rng(1))
+    model.forward_head(ds.images, 0, train=True)  # BN statistics for eval mode
+    cli._eval_results(model, ds, mode, default_config(), 0, mode)
+    assert calls == {f"infer_{m}": ds.n_cases if m == mode else 0
+                     for m in ("single", "ensemble")}

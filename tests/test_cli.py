@@ -22,8 +22,10 @@ from segadapt.checkpoint import load_checkpoint, read_entries, save_checkpoint
 from segadapt.config import default_config, parse_config
 from segadapt.data import LabeledSet, load_dataset, save_dataset
 from segadapt.estimators import (FineTuner, MultiHeadAdapter, PtbnAdapter, SelfTrainAdapter,
-                                 SourceTrainer, TentAdapter)
+                                 SourceTrainer, TentAdapter, validation_dice)
+from segadapt.inference import infer_ensemble, infer_single
 from segadapt.pseudolabel import cleanup_label_map
+from segadapt.rng import named_stream
 from test_model import reserialize
 
 MINI_CFG = """\
@@ -575,6 +577,34 @@ class TestAdapt:
         assert {"epoch", "step", "loss"} <= set(dump)
         assert "nan_dump.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["upl", "selftrain", "tent", "ptbn", "finetune-train"])
+    def test_validation_scores_labels_without_cleanup_when_it_is_off(self, ws, tmp_path,
+                                                                     method):
+        """With ``[adapt] cleanup = false`` the logged val dice is the Dice of
+        the uncleaned labels, as eval scores them. One epoch, so the saved
+        model is the validated one, and UPL's ensemble starts its "eval"
+        stream afresh."""
+        cfg = tmp_path / "raw.cfg"
+        cfg.write_text(MINI_CFG + "cleanup = false\n")
+        out = tmp_path / "o"
+        assert cli.main(["adapt", "--data", str(ws.data), "--out", str(out),
+                         "--config", str(cfg), "--method", method,
+                         "--checkpoint", str(ws.ckpt), "--seed", "6"]) == 0
+        model, _ = load_checkpoint(out / "adapted.uplc")
+        val = load_dataset(ws.data / "target_val.upld")
+
+        def val_dice(cleanup):
+            if method == "upl":
+                rng = named_stream(6, "eval")
+                predict = lambda imgs: infer_ensemble(model, imgs, rng, cleanup)[0]
+            else:
+                predict = lambda imgs: infer_single(model, imgs, cleanup)[0]
+            return validation_dice(predict, val, model.num_classes)[0]
+
+        [rec] = read_jsonl(out / "trainlog.jsonl")
+        assert val_dice(True) != val_dice(False)  # cleanup moves this score
+        assert rec["val_dice_mean"] == val_dice(False)
+
     @pytest.mark.parametrize("method,extra,cfg_text", [
         ("upl", [], MINI_CFG.replace("epochs = 1\n", "epochs = 2\n")),
         ("upl", [], MINI_CFG.replace("epochs = 1\n", "epochs = 2\ncleanup = false\n")),
@@ -688,6 +718,33 @@ class TestAdapt:
         assert rc == 0
         assert sha(again / "adapted.uplc") == sha(runs["upl"] / "adapted.uplc")
         assert sha(again / "trainlog.jsonl") == sha(runs["upl"] / "trainlog.jsonl")
+
+
+@pytest.mark.parametrize("command", ["eval-single", "eval-ensemble", "adapt-ptbn"])
+def test_nan_prediction_exits_4_with_only_a_diagnostic_dump(ws, tmp_path, capsys, command):
+    """One NaN weight: the checkpoint loads, and the first prediction made
+    from it fails the command with a dump that names the stage (and for
+    eval the case), in the directory of eval's CSV or in adapt's --out."""
+    model, _ = load_checkpoint(ws.ckpt)
+    model.named_parameters()["enc.l0.c1.w"].data[0, 0, 0, 0] = np.nan
+    poisoned = tmp_path / "one_nan.uplc"
+    save_checkpoint(poisoned, model, epoch=0, seeds={"root": 0})
+    name, mode = command.split("-")
+    if name == "eval":
+        out_dir = tmp_path / "res"
+        argv = ["eval", "--data", str(ws.data / "target_test.upld"),
+                "--out", str(out_dir / "r.csv"), "--mode", mode]
+        want = {"stage": "eval", "case": load_dataset(ws.data / "target_test.upld").case_ids[0]}
+    else:
+        out_dir = tmp_path / "o"
+        argv = ["adapt", "--data", str(ws.data), "--out", str(out_dir), "--method", mode]
+        want = {"stage": "validation", "epoch": 0}
+    rc = cli.main(argv + ["--checkpoint", str(poisoned), "--config", str(ws.cfg)])
+    assert rc == 4
+    assert "numeric failure: non-finite prediction" in capsys.readouterr().err
+    assert [p.name for p in out_dir.iterdir()] == ["nan_dump.json"]
+    dump = json.loads((out_dir / "nan_dump.json").read_text())
+    assert np.isnan(dump.pop("loss")) and dump == want
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import json
 from dataclasses import fields
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import segadapt.estimators as est
+from segadapt.autodiff import Tensor
 from segadapt.config import AdaptConfig, PretrainConfig
 from segadapt.data import LabeledSet, UnlabeledSet
 from segadapt.estimators import (
@@ -23,7 +25,7 @@ from segadapt.estimators import (
 )
 from segadapt.inference import head_probs, infer_ensemble, infer_single
 from segadapt.model import ArchConfig, SegModel
-from segadapt.pseudolabel import ensemble_mean
+from segadapt.pseudolabel import ensemble_mean, make_pseudo_label
 from segadapt.rng import named_stream
 from segadapt.transforms import IDENTITY
 from _oracles import (
@@ -169,6 +171,51 @@ def test_golden_fit_digest_with_a_recording_bundle_hook(name, toy_data, pretrain
         if rec.reliable_fraction is not None:  # the log's mean is the bundles' mean
             assert rec.reliable_fraction == float(np.mean([b.reliable_fraction
                                                            for _, b in epoch]))
+
+
+def test_upl_bundle_averages_the_heads_in_a_float32_running_sum(toy_data, pretrained,
+                                                                monkeypatch):
+    """The bundle of every UPL step is ``make_pseudo_label`` of the float32
+    running mean of its pseudo pass's head maps, byte for byte, and not of
+    ``ensemble_mean``'s float64 mean, which moves UPL's artifacts at some
+    seeds and so waits for a re-lock. The maps are random softmax maps, but at
+    one pixel class 0 takes float32 values next to float32(tau) on whose side
+    of tau the two means disagree."""
+    cfg = AdaptConfig(heads=4, epochs=1, lr=1e-3)
+    t = np.float32(cfg.tau)
+    for offsets in itertools.product(range(-4, 5), repeat=cfg.heads):
+        v = t + np.float32(offsets) * np.spacing(t)
+        running = v[0]
+        for x in v[1:]:
+            running = running + x
+        if (running / np.float32(cfg.heads) > t) != (np.float32(v.astype(np.float64).mean()) > t):
+            break
+    else:
+        pytest.fail("no float32 values split the two means around tau")
+    train, val = toy_data
+    noise, real, calls, passes = np.random.default_rng(0), est.head_probs, itertools.count(), []
+
+    def crafted_pseudo_pass(model, images, transforms, train=False, rng=None):
+        probs = real(model, images, transforms, train, rng)
+        if next(calls) % 2:  # the taped pass of the step
+            return probs
+        logits = noise.standard_normal((len(transforms), *probs[0].shape)).astype(np.float32)
+        maps = np.exp(logits) / np.exp(logits).sum(axis=2, keepdims=True)
+        maps[:, 0, :, 5, 5] = np.stack([v, 1 - v, np.zeros_like(v)], axis=1)
+        passes.append(maps)
+        return [Tensor(m) for m in maps]
+
+    monkeypatch.setattr(est, "head_probs", crafted_pseudo_pass)
+    fitter, bundles = MultiHeadAdapter(pretrained, cfg, 43), []
+    fitter.on_bundle = lambda idx, bundle: bundles.append(bundle)
+    fitter.fit(train.drop_labels(), val)
+    assert len(bundles) == len(passes) == train.n_cases  # one volume batch per step
+    for maps, got in zip(passes, bundles):
+        want = make_pseudo_label(maps.mean(axis=0, dtype=np.float32), cfg.tau, cfg.cleanup)
+        assert got.pseudo_onehot.tobytes() == want.pseudo_onehot.tobytes()
+        assert got.reliability.tobytes() == want.reliability.tobytes()
+        f64 = make_pseudo_label(ensemble_mean(list(maps)), cfg.tau, cfg.cleanup)
+        assert got.reliability[0, 5, 5] != f64.reliability[0, 5, 5]
 
 
 def test_constructors_declare_no_config_field():
